@@ -16,6 +16,12 @@ value-based, so replaying a cached payload is byte-identical to
 recomputing it.  Only the ``label`` is request-specific and is
 rewritten per hit.
 
+The key costs one :func:`~repro.circuits.canonical_hash` pass over the
+circuit, built from process-local memos of gate and operation text.
+The front-end computes it once per request (:func:`request_key`) and
+passes it to both :meth:`ResultCache.get` and, on a miss,
+:meth:`ResultCache.put`.
+
 Eviction is plain LRU with a fixed entry capacity.  Instrumentation
 lands in the service's telemetry scope: ``serve.cache.hits`` /
 ``serve.cache.misses`` / ``serve.cache.evictions`` counters pushed at
@@ -73,18 +79,20 @@ class ResultCache:
     def _collect(self) -> Dict[str, int]:
         return {"serve.cache.size": len(self._entries)}
 
-    def get(self, request: RunRequest) -> Optional[RunResult]:
+    def get(self, request: RunRequest, key: Optional[str] = None) -> Optional[RunResult]:
         """The cached result for ``request``, re-labelled, or ``None``.
 
         A hit refreshes the entry's LRU position and returns a shallow
         copy carrying the *incoming* request's label -- callers must
         see their own job label even when another circuit name first
-        populated the entry.
+        populated the entry.  ``key`` is the request's precomputed
+        :func:`request_key`; it is computed here when omitted.
         """
         if self.capacity == 0:
             self._misses.inc()
             return None
-        key = request_key(request)
+        if key is None:
+            key = request_key(request)
         cached = self._entries.get(key)
         if cached is None:
             self._misses.inc()
@@ -93,11 +101,17 @@ class ResultCache:
         self._hits.inc()
         return replace(cached, label=request.job_label)
 
-    def put(self, request: RunRequest, result: RunResult) -> None:
-        """Store a successful result (failures are never cached)."""
+    def put(
+        self, request: RunRequest, result: RunResult, key: Optional[str] = None
+    ) -> None:
+        """Store a successful result (failures are never cached).
+
+        ``key`` as for :meth:`get`.
+        """
         if self.capacity == 0:
             return
-        key = request_key(request)
+        if key is None:
+            key = request_key(request)
         self._entries[key] = result
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:

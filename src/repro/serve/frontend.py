@@ -4,7 +4,8 @@ One :class:`ServiceFrontend` owns the service's moving parts:
 
 * a :class:`~repro.serve.cache.ResultCache` consulted before any work
   is queued -- a canonical-form hit answers immediately, off the
-  workers' critical path;
+  workers' critical path.  The request's canonical key is computed
+  once and reused for the store after a miss;
 * a :class:`~repro.serve.router.ShardRouter` pinning each miss to the
   worker whose tables are warm for its configuration;
 * one **bounded** :class:`asyncio.Queue` per worker.  Admission is
@@ -44,7 +45,7 @@ from repro import errors
 from repro.api import RunRequest, RunResult
 from repro.exec.batch import JOB_SECONDS_BUCKETS
 from repro.obs import Telemetry, TraceContext, new_span_id, new_trace_id, reparent_spans
-from repro.serve.cache import DEFAULT_CAPACITY, ResultCache
+from repro.serve.cache import DEFAULT_CAPACITY, ResultCache, request_key
 from repro.serve.protocol import SHUTDOWN, ServeRequest, ServeResponse
 from repro.serve.router import DEFAULT_BUCKET_SIZE, ShardRouter
 
@@ -171,7 +172,8 @@ class ServiceFrontend:
         if self.trace_id is not None:
             span_attrs["trace_id"] = self.trace_id
         with tracer.span("serve.request", **span_attrs) as request_span:
-            cached = self.cache.get(request)
+            key = request_key(request)
+            cached = self.cache.get(request, key)
             if cached is not None:
                 self._request_seconds.observe(loop.time() - started)
                 return cached
@@ -246,7 +248,7 @@ class ServiceFrontend:
                 )
             result = response.result
             assert result is not None
-            self.cache.put(request, result)
+            self.cache.put(request, result, key)
             self._request_seconds.observe(loop.time() - started)
             return result
 

@@ -54,6 +54,16 @@ class TestLookup:
         assert snap["serve.cache.misses"] == 1
         assert snap["serve.cache.size"] == 1
 
+    def test_precomputed_key_matches_computed_key(self):
+        cache, metrics = _cache()
+        request = _request()
+        key = request_key(request)
+        assert cache.get(request, key) is None
+        cache.put(request, run(request), key)
+        assert cache.get(_request("renamed")) is not None
+        assert cache.get(request, key) is not None
+        assert metrics.snapshot()["serve.cache.hits"] == 2
+
     def test_hit_carries_the_incoming_label(self):
         cache, _ = _cache()
         first = _request("original", label="first-label")

@@ -167,3 +167,32 @@ class TestDispatch:
                 await frontend.close()
 
         asyncio.run(scenario())
+
+    def test_one_canonical_hash_per_request(self, monkeypatch):
+        import repro.serve.cache
+
+        calls = []
+        real = repro.serve.cache.canonical_hash
+
+        def counting(circuit, config=None):
+            calls.append(circuit.name)
+            return real(circuit, config)
+
+        monkeypatch.setattr(repro.serve.cache, "canonical_hash", counting)
+
+        async def scenario():
+            frontend = ServiceFrontend([InlineWorkerClient(0)], cache_capacity=8)
+            await frontend.start()
+            try:
+                request = _request(label="once")
+                await frontend.submit(request)  # algebraic miss: get + put
+                assert len(calls) == 1
+                await frontend.submit(request)  # hit
+                assert len(calls) == 2
+                stats = frontend.stats()
+                assert stats["serve.cache.misses"] == 1
+                assert stats["serve.cache.hits"] == 1
+            finally:
+                await frontend.close()
+
+        asyncio.run(scenario())
