@@ -75,11 +75,13 @@ perf-smoke:
 	    --trace-out benchmarks/results/batch_trace.json
 
 # End-to-end persistent-service run: the Grover workload through the
-# warm-worker service twice per number system, with --verify comparing
-# every payload against the direct run path, plus the serve test
-# suite.  Exits non-zero on any mismatch, failure or rejected request.
+# warm-worker service twice per number system, in inline and in
+# process mode, with --verify comparing every payload against the
+# direct run path, plus the serve test suite.  Exits non-zero on any mismatch, failure or rejected request.
 serve-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.cli serve --workers 2 \
+	    --qubits 5 --verify
+	PYTHONPATH=src $(PYTHON) -m repro.cli serve --mode process --workers 2 \
 	    --qubits 5 --verify
 	PYTHONPATH=src $(PYTHON) -m pytest tests/serve -q
 

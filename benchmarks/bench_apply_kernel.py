@@ -2,12 +2,12 @@
 
 The "new path" is the :mod:`repro.dd.apply` kernel (gates applied by
 recursing the vector DD directly); the "old path" is the previous
-pipeline, still available as ``Simulator(use_apply_kernel=False)``:
-build a matrix DD per gate with ``build_gate_dd`` and multiply with
-``mat_vec``.  Both paths are timed interleaved (min-of-``REPS``, GC
-off, fresh managers) on the paper's workloads -- 8-qubit Grover and
-the Clifford+T-compiled GSE circuit -- under all three number
-systems, and the final states are verified byte-identical
+pipeline, written out here as an explicit loop: build a matrix DD per
+gate (``Simulator.gate_dd``) and multiply with ``mat_vec``.  Both
+paths are timed interleaved (min-of-``REPS``, GC off, fresh managers)
+on the paper's workloads -- 8-qubit Grover and the Clifford+T-compiled
+GSE circuit -- under all three number systems, and the final states
+are verified byte-identical
 (``edges_equal`` on a shared manager, i.e. pointer-equal canonical
 node plus equal weight key).
 
@@ -73,13 +73,17 @@ def circuits():
 def _timed_run(operations, num_qubits, factory, use_kernel):
     """One cold simulation on a fresh manager; returns (seconds, manager)."""
     manager = factory(num_qubits)
-    simulator = Simulator(manager, use_apply_kernel=use_kernel)
+    simulator = Simulator(manager)
     state = manager.zero_state()
     gc_was_enabled = gc.isenabled()
     gc.disable()
     start = time.perf_counter()
-    for operation in operations:
-        state = simulator.apply(state, operation)
+    if use_kernel:
+        for operation in operations:
+            state = simulator.apply(state, operation)
+    else:
+        for operation in operations:
+            state = manager.mat_vec(simulator.gate_dd(operation), state)
     elapsed = time.perf_counter() - start
     if gc_was_enabled:
         gc.enable()
@@ -158,13 +162,12 @@ def test_final_states_identical(circuits, kind):
     """Both paths must land on byte-identical canonical final states."""
     for label, (operations, num_qubits) in circuits.items():
         manager = SYSTEMS[kind](num_qubits)
-        kernel_sim = Simulator(manager, use_apply_kernel=True)
-        matrix_sim = Simulator(manager, use_apply_kernel=False)
+        simulator = Simulator(manager)
         kernel_state = manager.zero_state()
         matrix_state = manager.zero_state()
         for operation in operations:
-            kernel_state = kernel_sim.apply(kernel_state, operation)
-            matrix_state = matrix_sim.apply(matrix_state, operation)
+            kernel_state = simulator.apply(kernel_state, operation)
+            matrix_state = manager.mat_vec(simulator.gate_dd(operation), matrix_state)
         assert manager.edges_equal(kernel_state, matrix_state), (
             f"kernel final state differs from matrix path on {label}/{kind}"
         )

@@ -43,7 +43,9 @@ SYSTEMS = {
 
 def _timed_run(circuit, factory, gc_config):
     manager = factory(circuit.num_qubits)
-    simulator = Simulator(manager, gc=gc_config)
+    if gc_config is not None:
+        manager.memory.configure(gc_config)
+    simulator = Simulator(manager)
     gc_was_enabled = gc.isenabled()
     gc.disable()
     start = time.perf_counter()

@@ -20,6 +20,7 @@ import time
 import pytest
 
 from repro.algorithms.grover import grover_circuit
+from repro.api import SimulatorConfig
 from repro.dd.manager import algebraic_gcd_manager, algebraic_manager, numeric_manager
 from repro.sim.simulator import Simulator
 
@@ -37,7 +38,7 @@ SYSTEMS = {
 
 def _timed_run(circuit, factory, sanitize):
     manager = factory(circuit.num_qubits)
-    simulator = Simulator(manager, sanitize=sanitize)
+    simulator = Simulator(manager, config=SimulatorConfig(sanitize=sanitize or "off"))
     gc_was_enabled = gc.isenabled()
     gc.disable()
     start = time.perf_counter()

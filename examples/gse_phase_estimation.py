@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from repro import Simulator, algebraic_manager, numeric_manager
+from repro import Simulator, SimulatorConfig, algebraic_manager, numeric_manager
 from repro.algorithms.gse import (
     default_hamiltonian,
     ground_state,
@@ -44,7 +44,8 @@ def main() -> None:
     print()
 
     result = Simulator(
-        algebraic_manager(compiled.num_qubits), record_bit_widths=True
+        algebraic_manager(compiled.num_qubits),
+        config=SimulatorConfig(record_bit_widths=True),
     ).run(compiled)
     amplitudes = result.final_amplitudes()
     ancilla_probs = (np.abs(amplitudes) ** 2).reshape(1 << precision_bits, -1).sum(axis=1)

@@ -40,8 +40,8 @@ Quickstart::
         print(job.label, job.node_count)
 
 Direct ``Simulator(...)`` construction outside this module is linted
-against (rule RL008 of ``tools/repro_lint``); loose ``Simulator``
-keyword arguments are deprecated in favour of ``config=``.
+against (rule RL008 of ``tools/repro_lint``); a simulator takes its
+options only as ``config=``.
 """
 
 from __future__ import annotations
@@ -127,9 +127,6 @@ class SimulatorConfig:
         :class:`~repro.errors.MemoryBudgetExceeded`.
     record_bit_widths:
         Collect the per-gate max coefficient bit-width (Fig. 5).
-    use_apply_kernel:
-        Apply gates through the direct vector kernel (default) or the
-        matrix-DD fallback.
     telemetry:
         ``"off"``, ``"metrics"`` or ``"tracing"``.
     """
@@ -144,7 +141,6 @@ class SimulatorConfig:
     max_nodes: Optional[int] = None
     max_bytes: Optional[int] = None
     record_bit_widths: bool = False
-    use_apply_kernel: bool = True
     telemetry: str = "metrics"
 
     def __post_init__(self) -> None:
@@ -353,10 +349,8 @@ def run(
     if client is not None:
         return client.submit(request)
     config = request.config
-    circuit = request.circuit
     scope = telemetry if telemetry is not None else config.create_telemetry()
-    manager = config.create_manager(circuit.num_qubits, scope)
-    simulator = Simulator(manager, config=config)
+    simulator = config.create_simulator(request.circuit.num_qubits, scope)
     return run_with(request, simulator, telemetry=scope)
 
 
@@ -365,6 +359,7 @@ def run_with(
     simulator: Simulator,
     telemetry: Optional[Telemetry] = None,
     keep_state: bool = True,
+    deadline: Optional[float] = None,
 ) -> RunResult:
     """Execute one request on an *existing* simulator stack.
 
@@ -382,6 +377,11 @@ def run_with(
     releases the final state's GC root registration after the state is
     serialized -- the long-lived service worker keeps tables warm
     without accumulating one live root per served request.
+
+    ``deadline`` (an absolute :func:`time.perf_counter` value) bounds
+    the ``error_reference`` run and the main run together; past it,
+    :meth:`Simulator.run` raises :class:`~repro.errors.JobTimeout`
+    between gates.
     """
     config = request.config
     circuit = request.circuit
@@ -393,7 +393,9 @@ def run_with(
     if request.error_reference is not None:
         reference_manager = request.error_reference.create_manager(circuit.num_qubits)
         make_simulator(reference_manager, request.error_reference).run(
-            circuit, step_callback=lambda _i, state: reference_states.append(state)
+            circuit,
+            step_callback=lambda _i, state: reference_states.append(state),
+            deadline=deadline,
         )
 
     # The timed run only appends state edges; the dense error series is
@@ -407,7 +409,7 @@ def run_with(
     )
 
     started = time.perf_counter()
-    outcome = simulator.run(circuit, step_callback=callback)
+    outcome = simulator.run(circuit, step_callback=callback, deadline=deadline)
     seconds = time.perf_counter() - started
 
     trace = outcome.trace

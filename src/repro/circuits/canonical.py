@@ -87,8 +87,10 @@ _CONFIG_FIELDS: Tuple[str, ...] = (
     "max_nodes",
     "max_bytes",
     "record_bit_widths",
-    "use_apply_kernel",
 )
+#: v1 also hashed the since-removed ``use_apply_kernel`` switch, which
+#: every simulation now runs with; its constant pair keeps v1 digests.
+_RETIRED_PAIRS: Tuple[Tuple[str, Any], ...] = (("use_apply_kernel", True),)
 #: The float-typed fields among them (ints are widened before hashing).
 _FLOAT_FIELDS = frozenset({"eps", "gc_min_yield"})
 
@@ -170,7 +172,7 @@ def config_fingerprint(config: Optional[Any]) -> Tuple[Any, ...]:
         if isinstance(value, float):
             value = _float_bits(value)
         values.append((name, value))
-    return tuple(values)
+    return (*values, *_RETIRED_PAIRS)
 
 
 #: Memo capacities.  Clearing a full memo keeps each at or below its

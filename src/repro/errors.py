@@ -164,8 +164,9 @@ class DeadlineExceeded(ServeError):
     """A request missed its per-request deadline.
 
     Raised when the deadline passes while the request is still queued
-    (the worker never starts it) or when the worker-side alarm
-    interrupts the simulation mid-run.  Counted under
+    (the worker never starts it) or while it runs: the front end stops
+    waiting at the deadline, and the worker's simulation stops at the
+    next gate boundary (:class:`JobTimeout`).  Counted under
     ``serve.rejected.deadline``.
     """
 
@@ -190,6 +191,17 @@ class CircuitError(ReproError):
 
 class SimulationError(ReproError):
     """Raised when a simulation cannot proceed (e.g. collapsed state)."""
+
+
+class JobTimeout(ReproError):
+    """A job exceeded its wall-clock deadline.
+
+    Raised by :meth:`repro.sim.simulator.Simulator.run` between two
+    gates once the deadline has passed, so a gate already in progress
+    finishes first.  Batch jobs report it as a timed-out
+    :class:`~repro.exec.batch.JobFailure`; service requests as
+    :class:`DeadlineExceeded`.
+    """
 
 
 class ApproximationError(ReproError):

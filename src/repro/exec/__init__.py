@@ -7,8 +7,8 @@ independent simulation.  This package fans typed
 :class:`concurrent.futures.ProcessPoolExecutor` and brings results home
 as plain data:
 
-* per-job **timeout** (worker-side alarm) and bounded **retry** with
-  exponential backoff;
+* per-job **timeout** (a deadline the simulator checks between gates)
+  and bounded **retry** with exponential backoff;
 * typed failure capture -- a crashed or timed-out job becomes a
   :class:`JobFailure` carrying the exception text, attempt count and
   the partial telemetry snapshot, instead of aborting the sweep;
@@ -27,6 +27,6 @@ Callers should reach this engine through the facade --
 
 from __future__ import annotations
 
-from repro.exec.batch import BatchResult, JobFailure, JobTimeout, deadline_guard, run_batch
+from repro.exec.batch import BatchResult, JobFailure, JobOutcome, JobTimeout, execute_job, run_batch
 
-__all__ = ["BatchResult", "JobFailure", "JobTimeout", "deadline_guard", "run_batch"]
+__all__ = ["BatchResult", "JobFailure", "JobOutcome", "JobTimeout", "execute_job", "run_batch"]

@@ -19,11 +19,18 @@ sweep completes.  Retries happen in rounds: every failed job of round
 *n* is re-submitted in round *n+1* after an exponential backoff sleep,
 up to ``retries`` extra rounds.
 
-**Timeouts** are enforced worker-side with ``SIGALRM`` /
-``signal.setitimer`` so a wedged simulation is interrupted inside the
-job and still reports its partial telemetry.  When the engine runs off
-the main thread (or on platforms without ``SIGALRM``) the deadline is
-silently skipped rather than mis-fired.
+**One executor.**  :func:`execute_job` runs one request and returns a
+:class:`JobOutcome`: the result or the typed failure, the partial
+metrics and the spans.  Batch jobs (in-process and in pool workers) and
+the persistent service's :meth:`repro.serve.worker.WarmWorker.execute`
+all go through it; the service passes its warm simulator, the batch
+engine lets it build a fresh one.
+
+**Timeouts** are cooperative: the executor turns ``timeout`` into a
+deadline that :meth:`repro.sim.simulator.Simulator.run` checks between
+gates, raising :class:`JobTimeout` once it has passed.  This works the
+same on any thread and in any process; a single gate is never
+interrupted.  A timed-out job still reports its partial telemetry.
 
 **Telemetry.**  Each job snapshots its own registry (success *or*
 failure); :func:`run_batch` merges the per-job ``sim.*``/``dd.*``
@@ -38,7 +45,7 @@ tracing enabled, :func:`run_batch` mints a
 id + the coordinator clock anchor) and injects it into every request.
 Workers then record spans -- an ``exec.job`` root span wrapping the
 whole job, the simulator's ``sim.gate``/``dd.apply.direct`` spans
-below it -- and serialize them into the job outcome dict alongside the
+below it -- and ship them home on the :class:`JobOutcome` alongside the
 metrics snapshot, on the success, failure *and* timeout paths.  The
 coordinator re-parents every shipped span under its ``exec.batch``
 span with per-worker clock-offset alignment
@@ -50,17 +57,14 @@ byte-identical with tracing on or off.
 
 from __future__ import annotations
 
-import signal
-import threading
 import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.api import RunRequest, RunResult, run
-from repro.errors import ConfigError, ReproError
+from repro.api import RunRequest, RunResult, run_with
+from repro.errors import ConfigError, JobTimeout
 from repro.obs import (
     Telemetry,
     TraceContext,
@@ -69,12 +73,14 @@ from repro.obs import (
     merge_snapshots,
     reparent_spans,
 )
+from repro.sim.simulator import Simulator
 
 __all__ = [
     "BatchResult",
     "JobFailure",
+    "JobOutcome",
     "JobTimeout",
-    "deadline_guard",
+    "execute_job",
     "run_batch",
 ]
 
@@ -85,10 +91,6 @@ JOB_SECONDS_BUCKETS: Tuple[float, ...] = (
 )
 
 
-class JobTimeout(ReproError):
-    """A batch job exceeded its per-job wall-clock deadline."""
-
-
 @dataclass(frozen=True)
 class JobFailure:
     """Typed record of one job that failed all its attempts.
@@ -96,7 +98,7 @@ class JobFailure:
     ``metrics`` is the partial telemetry snapshot taken inside the
     worker after the last failing attempt -- for a timeout it shows how
     far the simulation got (gate counters, table sizes) before the
-    alarm fired.
+    deadline passed.
     """
 
     index: int
@@ -171,85 +173,94 @@ class BatchResult:
 # ---------------------------------------------------------------------------
 
 
-@contextmanager
-def deadline_guard(seconds: Optional[float]) -> Iterator[None]:
-    """Raise :class:`JobTimeout` in this thread after ``seconds``.
+@dataclass
+class JobOutcome:
+    """What one :func:`execute_job` attempt produced; always picklable.
 
-    ``SIGALRM`` only works on the main thread of a process; worker
-    processes always run jobs there, but the in-process fallback may
-    not (e.g. under a threaded test runner), in which case the deadline
-    is skipped rather than armed incorrectly.  Shared with the
-    persistent service's worker loop (:mod:`repro.serve.worker`), whose
-    child processes likewise run jobs on their main thread.
+    ``result`` is set on success.  Otherwise ``error_type``,
+    ``message``, ``timed_out`` and ``traceback`` describe the typed
+    failure and ``metrics`` holds the partial telemetry snapshot.
+    ``spans`` is the exported span ring when the request carried a
+    :class:`~repro.obs.TraceContext`, on every path.
     """
-    if (
-        not seconds
-        or not hasattr(signal, "SIGALRM")
-        or threading.current_thread() is not threading.main_thread()
-    ):
-        yield
-        return
 
-    def _alarm(signum: int, frame: Any) -> None:
-        raise JobTimeout(f"job exceeded its {seconds:g}s deadline")
+    result: Optional[RunResult] = None
+    error_type: str = ""
+    message: str = ""
+    timed_out: bool = False
+    traceback: str = ""
+    metrics: Dict[str, Any] = field(default_factory=dict)
+    spans: Optional[Dict[str, Any]] = None
 
-    previous = signal.signal(signal.SIGALRM, _alarm)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
+    @property
+    def ok(self) -> bool:
+        return self.result is not None
+
+    @classmethod
+    def failed(
+        cls, exc: BaseException, metrics: Optional[Dict[str, Any]] = None
+    ) -> "JobOutcome":
+        """The typed failure outcome for ``exc`` (call inside ``except``)."""
+        return cls(
+            error_type=type(exc).__name__,
+            message=str(exc) or traceback.format_exc(limit=1),
+            timed_out=isinstance(exc, JobTimeout),
+            traceback=traceback.format_exc(),
+            metrics=metrics or {},
+        )
 
 
-def _execute_job(
-    index: int,
+def execute_job(
     request: RunRequest,
-    timeout: Optional[float],
-    serialize: bool = True,
-) -> Tuple[int, Dict[str, Any]]:
-    """Run one job; always return a picklable outcome payload.
+    simulator: Optional[Simulator] = None,
+    scope: Optional[Telemetry] = None,
+    timeout: Optional[float] = None,
+    serialize_spans: bool = True,
+    job_attrs: Optional[Dict[str, Any]] = None,
+) -> JobOutcome:
+    """Run one request; never raises.
 
-    Executed inside the pool workers (and, for ``workers=1``, inline).
-    The telemetry scope is created *before* the deadline is armed so a
-    timed-out job still ships its partial snapshot home.  When the
-    request carries a :class:`~repro.obs.TraceContext` the scope is
-    forced into tracing mode, the whole attempt is wrapped in an
-    ``exec.job`` span, and the span ring rides home in the outcome
-    dict -- on the success, failure and timeout paths alike.  Pool
-    workers serialize the ring to plain dicts; the in-process fallback
-    passes ``serialize=False`` and ships the live :class:`Span`
-    objects instead (no pickle boundary to cross).
+    ``simulator`` is an existing stack to run on (the service's warm
+    entry); ``None`` builds a fresh one from the request's config, as
+    :func:`repro.api.run` does.  ``scope`` is the telemetry scope whose
+    metrics land on the outcome; ``None`` builds one from the config,
+    forced into tracing mode when the request carries a
+    :class:`~repro.obs.TraceContext`.  ``timeout`` (seconds from now)
+    becomes the deadline :meth:`Simulator.run` checks between gates.
+
+    The attempt runs inside an ``exec.job`` span labelled with the job
+    label, ``job_attrs`` and the trace ids, and the span ring ships
+    home on the outcome whenever the request carries a trace context.
+    Pool workers serialize it to plain dicts (``serialize_spans``);
+    in-process callers pass ``False`` and ship the live
+    :class:`~repro.obs.Span` objects instead (no pickle boundary).
     """
+    deadline = None if timeout is None else time.perf_counter() + timeout
     context = request.trace_context
-    scope = request.config.create_telemetry()
-    if context is not None and not scope.tracer.enabled:
-        scope = Telemetry(metrics=scope.metrics.enabled, tracing=True)
-    export = export_worker_spans if serialize else export_local_spans
-    job_attrs: Dict[str, Any] = {"label": request.job_label, "index": index}
+    if scope is None:
+        scope = request.config.create_telemetry()
+        if context is not None and not scope.tracer.enabled:
+            scope = Telemetry(metrics=scope.metrics.enabled, tracing=True)
+    attrs: Dict[str, Any] = {"label": request.job_label, **(job_attrs or {})}
     if context is not None:
-        job_attrs["trace_id"] = context.trace_id
-        job_attrs["parent_span_id"] = context.parent_span_id
+        attrs["trace_id"] = context.trace_id
+        attrs["parent_span_id"] = context.parent_span_id
     try:
-        with deadline_guard(timeout):
-            with scope.tracer.span("exec.job", **job_attrs):
-                result = run(request, telemetry=scope)
-        outcome: Dict[str, Any] = {"ok": True, "result": result}
-        if context is not None:
-            outcome["spans"] = export(scope.tracer, context)
-        return index, outcome
-    except Exception as exc:  # noqa: BLE001 - converted into JobFailure
-        outcome = {
-            "ok": False,
-            "error_type": type(exc).__name__,
-            "message": str(exc),
-            "timed_out": isinstance(exc, JobTimeout),
-            "traceback": traceback.format_exc(),
-            "metrics": dict(scope.metrics.snapshot()),
-        }
-        if context is not None:
-            outcome["spans"] = export(scope.tracer, context)
-        return index, outcome
+        with scope.tracer.span("exec.job", **attrs):
+            if simulator is None:
+                simulator = request.config.create_simulator(
+                    request.circuit.num_qubits, scope
+                )
+            result = run_with(
+                request, simulator, telemetry=scope, keep_state=False, deadline=deadline
+            )
+        outcome = JobOutcome(result=result)
+    except Exception as exc:  # noqa: BLE001 - becomes a typed failure
+        outcome = JobOutcome.failed(exc, dict(scope.metrics.snapshot()))
+    if context is not None:
+        export = export_worker_spans if serialize_spans else export_local_spans
+        outcome.spans = export(scope.tracer, context)
+    return outcome
 
 
 # ---------------------------------------------------------------------------
@@ -261,41 +272,36 @@ def _run_round(
     jobs: Sequence[Tuple[int, RunRequest]],
     workers: int,
     timeout: Optional[float],
-) -> List[Tuple[int, Dict[str, Any]]]:
+) -> List[Tuple[int, JobOutcome]]:
     """One attempt for every job in ``jobs``; outcomes in any order."""
     if workers <= 1:
         return [
-            _execute_job(index, request, timeout, serialize=False)
+            (
+                index,
+                execute_job(
+                    request, timeout=timeout, serialize_spans=False, job_attrs={"index": index}
+                ),
+            )
             for index, request in jobs
         ]
 
-    outcomes: List[Tuple[int, Dict[str, Any]]] = []
+    outcomes: List[Tuple[int, JobOutcome]] = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures: Dict["Future[Tuple[int, Dict[str, Any]]]", int] = {
-            pool.submit(_execute_job, index, request, timeout): index
+        futures: Dict["Future[JobOutcome]", int] = {
+            pool.submit(
+                execute_job, request, timeout=timeout, job_attrs={"index": index}
+            ): index
             for index, request in jobs
         }
         pending = set(futures)
         while pending:
             done, pending = wait(pending, return_when=FIRST_COMPLETED)
             for future in done:
-                index = futures[future]
                 try:
-                    outcomes.append(future.result())
+                    outcome = future.result()
                 except Exception as exc:  # noqa: BLE001 - worker died hard
-                    outcomes.append(
-                        (
-                            index,
-                            {
-                                "ok": False,
-                                "error_type": type(exc).__name__,
-                                "message": f"worker process failed: {exc}",
-                                "timed_out": False,
-                                "traceback": traceback.format_exc(),
-                                "metrics": {},
-                            },
-                        )
-                    )
+                    outcome = JobOutcome.failed(exc)
+                outcomes.append((futures[future], outcome))
     return outcomes
 
 
@@ -368,7 +374,7 @@ def run_batch(
 
     results: List[Optional[RunResult]] = [None] * len(requests)
     attempts: Dict[int, int] = {index: 0 for index in range(len(requests))}
-    last_failure: Dict[int, Dict[str, Any]] = {}
+    last_failure: Dict[int, JobOutcome] = {}
     pending: List[Tuple[int, RunRequest]] = list(enumerate(submitted))
 
     started = time.perf_counter()
@@ -385,11 +391,10 @@ def run_batch(
             failed_this_round: List[Tuple[int, RunRequest]] = []
             for index, outcome in _run_round(pending, workers, timeout):
                 attempts[index] += 1
-                payload = outcome.pop("spans", None)
-                if payload is not None:
-                    span_payloads.append(payload)
-                if outcome["ok"]:
-                    result: RunResult = outcome["result"]
+                if outcome.spans is not None:
+                    span_payloads.append(outcome.spans)
+                result = outcome.result
+                if result is not None:
                     result.attempts = attempts[index]
                     results[index] = result
                     last_failure.pop(index, None)
@@ -397,7 +402,7 @@ def run_batch(
                     job_seconds.observe(result.seconds)
                 else:
                     last_failure[index] = outcome
-                    if outcome["timed_out"]:
+                    if outcome.timed_out:
                         jobs_timed_out.inc()
                     failed_this_round.append((index, submitted[index]))
             pending = sorted(failed_this_round)
@@ -426,12 +431,12 @@ def run_batch(
         JobFailure(
             index=index,
             label=requests[index].job_label,
-            error_type=outcome["error_type"],
-            message=outcome["message"],
+            error_type=outcome.error_type,
+            message=outcome.message,
             attempts=attempts[index],
-            timed_out=outcome["timed_out"],
-            traceback=outcome.get("traceback", ""),
-            metrics=outcome.get("metrics", {}),
+            timed_out=outcome.timed_out,
+            traceback=outcome.traceback,
+            metrics=outcome.metrics,
         )
         for index, outcome in sorted(last_failure.items())
     ]

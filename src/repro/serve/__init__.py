@@ -20,8 +20,10 @@ the stack *alive* instead:
 
 :class:`~repro.serve.worker.WarmWorker`
     One live manager/simulator per configuration, hot tables across
-    requests, GC between jobs, LRU-bounded warm entries.  In-process
-    or child-process (``SIGALRM`` deadlines) flavours.
+    requests, GC between jobs, LRU-bounded warm entries, executed by
+    the batch engine's :func:`~repro.exec.batch.execute_job` with its
+    per-gate deadline.  In-process or child-process (restarted when it
+    dies) flavours.
 
 The service contract: **latency changes, payloads never do.**  Every
 result -- cache hit, warm run, cold run -- is byte-identical to the

@@ -17,9 +17,9 @@ One :class:`ServiceFrontend` owns the service's moving parts:
 
 Deadlines are absolute, minted at submission: a request that expires
 while queued is rejected (:class:`~repro.errors.DeadlineExceeded`)
-without ever reaching a worker; one that expires mid-run is cut off by
-the worker-side alarm (process workers) or by the front-end abandoning
-its response (inline workers).
+without ever reaching a worker; one that expires mid-run is rejected
+on time by the front-end, while the worker's simulation stops at its
+next gate boundary and frees the shard.
 
 Tracing: the front-end mints one trace id for its lifetime.  Every
 request runs inside a ``serve.request`` span, and the worker's
@@ -31,7 +31,8 @@ Instruments (all under the service scope; catalogued in
 ``docs/OBSERVABILITY.md``): ``serve.requests``,
 ``serve.rejected.queue_full``, ``serve.rejected.deadline``,
 ``serve.queue.depth``, ``serve.worker.busy``,
-``serve.request.seconds`` plus the cache's ``serve.cache.*`` family.
+``serve.request.seconds``, ``serve.worker.restarts`` (collected from
+the clients) plus the cache's ``serve.cache.*`` family.
 """
 
 from __future__ import annotations
@@ -98,6 +99,13 @@ class ServiceFrontend:
         self._worker_busy = metrics.gauge("serve.worker.busy")
         self._request_seconds = metrics.histogram(
             "serve.request.seconds", buckets=JOB_SECONDS_BUCKETS
+        )
+        metrics.register_collector(
+            lambda: {
+                "serve.worker.restarts": sum(
+                    getattr(client, "restarts", 0) for client in self.clients
+                )
+            }
         )
 
         self._seq = 0
@@ -215,11 +223,10 @@ class ServiceFrontend:
                         asyncio.shield(future), timeout=deadline - loop.time()
                     )
                 except asyncio.TimeoutError:
-                    # Inline workers have no SIGALRM: the computation
-                    # finishes on its executor thread, but the caller's
-                    # deadline contract holds -- the response is
-                    # abandoned.  (Process workers are interrupted
-                    # worker-side and answer timed_out instead.)
+                    # The caller's deadline holds to the moment: the
+                    # response is abandoned here, and the worker stops
+                    # at its next gate boundary, answering timed_out
+                    # into the abandoned future.
                     future.add_done_callback(_swallow_abandoned)
                     self._rejected_deadline.inc()
                     raise errors.DeadlineExceeded(
@@ -227,15 +234,16 @@ class ServiceFrontend:
                         f"{timeout:g}s deadline mid-run"
                     ) from None
 
-            if response.spans is not None:
+            outcome = response.outcome
+            if outcome.spans is not None:
                 reparent_spans(
                     tracer,
-                    response.spans,
+                    outcome.spans,
                     parent_depth=request_span.depth,
                     tid=response.worker_id,
                 )
-            if not response.ok:
-                if response.timed_out:
+            if not outcome.ok:
+                if outcome.timed_out:
                     self._rejected_deadline.inc()
                     raise errors.DeadlineExceeded(
                         f"request {request.job_label!r} missed its "
@@ -243,10 +251,10 @@ class ServiceFrontend:
                     )
                 raise errors.ServeError(
                     f"worker {response.worker_id} failed request "
-                    f"{request.job_label!r}: {response.error_type}: "
-                    f"{response.message}"
+                    f"{request.job_label!r}: {outcome.error_type}: "
+                    f"{outcome.message}"
                 )
-            result = response.result
+            result = outcome.result
             assert result is not None
             self.cache.put(request, result, key)
             self._request_seconds.observe(loop.time() - started)

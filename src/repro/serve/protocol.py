@@ -5,10 +5,10 @@ the same transport discipline as the batch engine
 (:mod:`repro.exec.batch`): a :class:`ServeRequest` carries a
 :class:`~repro.api.RunRequest` (itself built from picklable parts) plus
 the service envelope (sequence number, remaining deadline), and a
-:class:`ServeResponse` carries either a :class:`~repro.api.RunResult`
-or a typed failure description.  Worker processes receive requests over
-a :class:`multiprocessing.Pipe`; the in-process worker mode passes the
-same objects by reference.
+:class:`ServeResponse` carries the shared executor's
+:class:`~repro.exec.batch.JobOutcome` plus the worker envelope.  Worker
+processes receive requests over a :class:`multiprocessing.Pipe`; the
+in-process worker mode passes the same objects by reference.
 
 ``SHUTDOWN`` is the sentinel the front-end sends to end a worker loop
 cleanly (flushes the pipe, joins the process).
@@ -16,10 +16,11 @@ cleanly (flushes the pipe, joins the process).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from dataclasses import dataclass
+from typing import Optional
 
-from repro.api import RunRequest, RunResult
+from repro.api import RunRequest
+from repro.exec.batch import JobOutcome
 
 __all__ = ["SHUTDOWN", "ServeRequest", "ServeResponse"]
 
@@ -35,8 +36,8 @@ class ServeRequest:
     (response correlation and log lines).  ``timeout`` is the
     *remaining* per-request budget in seconds at dispatch time -- an
     interval, not an absolute timestamp, because worker clocks are not
-    the front-end's clock.  Worker processes arm it with the batch
-    engine's ``SIGALRM`` deadline guard.
+    the front-end's clock.  The worker passes it to the shared executor,
+    whose simulation stops at the first gate boundary past it.
     """
 
     seq: int
@@ -48,26 +49,16 @@ class ServeRequest:
 class ServeResponse:
     """A worker's answer to one :class:`ServeRequest`.
 
-    Exactly one of ``result`` (success) or ``error_type``/``message``
-    (typed failure, mirroring :class:`~repro.exec.batch.JobFailure`) is
-    populated.  ``timed_out`` marks worker-side deadline hits so the
-    front-end can convert them into the typed
-    :class:`~repro.errors.DeadlineExceeded` rejection.  ``spans`` is
-    the serialized tracer ring when the request carried a
-    :class:`~repro.obs.TraceContext` (shipped on success and failure
-    alike, as in the batch engine); ``metrics`` is the partial
-    telemetry snapshot of a failed attempt.  ``warm`` reports whether
-    the worker served the request from an already-hot manager (table
-    reuse) or had to build one.
+    ``outcome`` is what the shared executor
+    (:func:`~repro.exec.batch.execute_job`) returned: the result or the
+    typed failure (``timed_out`` marks deadline hits, which the
+    front-end turns into :class:`~repro.errors.DeadlineExceeded`), the
+    partial metrics and the spans.  ``warm`` reports whether the worker
+    served the request from an already-hot manager (table reuse) or had
+    to build one.
     """
 
     seq: int
-    ok: bool
     worker_id: int
-    result: Optional[RunResult] = None
-    error_type: str = ""
-    message: str = ""
-    timed_out: bool = False
+    outcome: JobOutcome
     warm: bool = False
-    spans: Optional[Dict[str, Any]] = None
-    metrics: Dict[str, Any] = field(default_factory=dict)

@@ -10,13 +10,17 @@ Two worker modes:
 ``"inline"``
     Workers live in the service process
     (:class:`~repro.serve.worker.InlineWorkerClient`).  Deterministic,
-    no subprocess cost, ideal for tests and single-machine batch use;
-    deadlines are enforced at the queue and by response abandonment.
+    no subprocess cost, ideal for tests and single-machine batch use.
 
 ``"process"``
     Each worker is a child process behind a pipe
     (:class:`~repro.serve.worker.ProcessWorkerClient`): true
-    parallelism across cores and hard ``SIGALRM`` deadlines mid-run.
+    parallelism across cores, and a dead child is replaced.
+
+Both modes run requests through the batch engine's executor and
+enforce deadlines the same way: the caller gets
+:class:`~repro.errors.DeadlineExceeded` on time, and the simulation
+stops at its next gate boundary.
 
 Use as a context manager::
 

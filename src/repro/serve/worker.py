@@ -19,10 +19,10 @@ Correctness of reuse:
   for lossy numeric configs are therefore additionally keyed by the
   canonical circuit hash: reuse only ever happens for structurally
   identical circuits there.
-* A request that fails (including a deadline hit mid-run) discards its
-  warm entry entirely -- a half-applied simulation may hold root
-  registrations the worker cannot account for, and rebuilding the
-  entry on next use is cheap compared to auditing it.
+* A request that fails (including a deadline hit between gates)
+  discards its warm entry entirely -- a half-applied simulation may
+  hold root registrations the worker cannot account for, and
+  rebuilding the entry on next use is cheap compared to auditing it.
 
 Memory discipline: entries are LRU-bounded (``max_warm``), state roots
 are released after serialization (``keep_state=False`` on
@@ -31,28 +31,31 @@ are released after serialization (``keep_state=False`` on
 a budgeted config stays inside its :class:`~repro.dd.mem.MemoryBudget`
 across requests, not just within one.
 
+Execution itself is the batch engine's
+:func:`~repro.exec.batch.execute_job`, given the warm simulator: the
+same ``exec.job`` span, failure shaping and per-gate deadline check as
+a batch job.
+
 Two client shapes front a worker: :class:`InlineWorkerClient` keeps it
 in-process (deterministic, test-friendly, shares the GIL), and
 :class:`ProcessWorkerClient` runs :func:`worker_main` in a child
-process connected by a pipe -- there the job executes on the child's
-main thread, so the batch engine's ``SIGALRM``
-:func:`~repro.exec.batch.deadline_guard` enforces per-request deadlines
-even mid-simulation.
+process connected by a pipe, and starts a new child when the old one
+dies.  Deadlines behave the same in both: the simulation stops at the
+first gate boundary past the request's remaining timeout.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import traceback
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Optional, Tuple
 
-from repro.api import RunRequest, run_with
+from repro.api import RunRequest
 from repro.circuits.canonical import canonical_hash
 from repro.errors import ServeError
-from repro.exec.batch import JobTimeout, deadline_guard
-from repro.obs import Telemetry, export_local_spans, export_worker_spans
+from repro.exec.batch import execute_job
+from repro.obs import Telemetry
 from repro.serve.protocol import SHUTDOWN, ServeRequest, ServeResponse
 from repro.sim.simulator import Simulator
 
@@ -138,51 +141,21 @@ class WarmWorker:
     def execute(self, serve_request: ServeRequest) -> ServeResponse:
         """Run one request on its warm entry; never raises.
 
-        Mirrors the batch engine's ``_execute_job``: the whole attempt
-        runs inside an ``exec.job`` span when the request carries a
-        trace context, spans ship home on every outcome path, and any
-        exception (including a ``SIGALRM`` deadline hit armed by the
-        caller) becomes a typed failure response.
+        The shared executor runs it under the request's remaining
+        timeout; a failure of any kind discards the warm entry.
         """
         request = serve_request.request
-        context = request.trace_context
         simulator, scope, warm = self._entry_for(request)
-        export = export_worker_spans if self.serialize_spans else export_local_spans
-        job_attrs: Dict[str, Any] = {
-            "label": request.job_label,
-            "seq": serve_request.seq,
-            "worker": self.worker_id,
-            "warm": warm,
-        }
-        if context is not None:
-            job_attrs["trace_id"] = context.trace_id
-            job_attrs["parent_span_id"] = context.parent_span_id
-        try:
-            with scope.tracer.span("exec.job", **job_attrs):
-                result = run_with(
-                    request, simulator, telemetry=scope, keep_state=False
-                )
-            response = ServeResponse(
-                seq=serve_request.seq,
-                ok=True,
-                worker_id=self.worker_id,
-                result=result,
-                warm=warm,
-            )
-        except Exception as exc:  # noqa: BLE001 - becomes a typed response
+        outcome = execute_job(
+            request,
+            simulator,
+            scope,
+            timeout=serve_request.timeout,
+            serialize_spans=self.serialize_spans,
+            job_attrs={"seq": serve_request.seq, "worker": self.worker_id, "warm": warm},
+        )
+        if not outcome.ok:
             self._discard(request)
-            response = ServeResponse(
-                seq=serve_request.seq,
-                ok=False,
-                worker_id=self.worker_id,
-                error_type=type(exc).__name__,
-                message=str(exc) or traceback.format_exc(limit=1),
-                timed_out=isinstance(exc, JobTimeout),
-                warm=warm,
-                metrics=dict(scope.metrics.snapshot()),
-            )
-        if context is not None:
-            response.spans = export(scope.tracer, context)
         # The warm scope lives across requests: drain its span ring so
         # the next request does not re-ship this one's spans.
         scope.tracer.clear()
@@ -191,7 +164,7 @@ class WarmWorker:
         memory = simulator.manager.memory
         if memory.config.enabled or memory.config.budget is not None:
             memory.maybe_collect()
-        return response
+        return ServeResponse(serve_request.seq, self.worker_id, outcome, warm)
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +175,8 @@ class WarmWorker:
 class InlineWorkerClient:
     """In-process worker: direct calls, no pickle boundary.
 
-    Deadlines are enforced only at the queue (the front-end's dispatch
-    check and response timeout): the execute call runs on an executor
-    thread where ``SIGALRM`` cannot be armed.
+    The execute call runs on a front-end executor thread; the per-gate
+    deadline check stops it there just as in a child process.
     """
 
     def __init__(self, worker_id: int, options: Optional[WorkerOptions] = None) -> None:
@@ -219,13 +191,7 @@ class InlineWorkerClient:
 
 
 def worker_main(worker_id: int, conn: Any, options: WorkerOptions) -> None:
-    """Child-process request loop: recv, execute under deadline, send.
-
-    Runs on the child's main thread, so
-    :func:`~repro.exec.batch.deadline_guard` arms a real ``SIGALRM``
-    per request -- a wedged simulation is interrupted mid-run and still
-    answers with its partial telemetry.
-    """
+    """Child-process request loop: recv, execute, send."""
     worker = WarmWorker(worker_id, options, serialize_spans=True)
     while True:
         try:
@@ -234,54 +200,64 @@ def worker_main(worker_id: int, conn: Any, options: WorkerOptions) -> None:
             break
         if item == SHUTDOWN:
             break
-        try:
-            with deadline_guard(item.timeout):
-                response = worker.execute(item)
-        except Exception as exc:  # noqa: BLE001 - alarm outside execute()
-            response = ServeResponse(
-                seq=item.seq,
-                ok=False,
-                worker_id=worker_id,
-                error_type=type(exc).__name__,
-                message=str(exc),
-                timed_out=isinstance(exc, JobTimeout),
-            )
-        conn.send(response)
+        conn.send(worker.execute(item))
     conn.close()
 
 
 class ProcessWorkerClient:
-    """Worker in a child process behind a pipe.
+    """Worker in a child process behind a pipe, restarted when it dies.
 
     One request is in flight per worker at a time (the front-end's
     dispatcher serializes its shard), so a plain send/recv pair is the
-    whole protocol.
+    whole protocol.  A child found dead before a send is replaced
+    first; one that dies mid-request is replaced and the request fails
+    with a typed :class:`~repro.errors.ServeError`.  Either way the new
+    child starts with no warm entries, and ``restarts`` counts the
+    replacements (the front-end reports the sum as
+    ``serve.worker.restarts``).
     """
 
     def __init__(self, worker_id: int, options: Optional[WorkerOptions] = None) -> None:
         self.worker_id = worker_id
-        options = options if options is not None else WorkerOptions()
+        self.options = options if options is not None else WorkerOptions()
+        self.restarts = 0
+        self._start()
+
+    def _start(self) -> None:
         # Platform-default start method (fork on Linux), matching the
         # batch engine's ProcessPoolExecutor: spawn would re-import
-        # __main__, breaking script-driven services.
+        # __main__, breaking script-driven services.  A restart forks
+        # from a front-end executor thread; the child then runs only
+        # worker_main, which takes none of the parent threads' locks.
         ctx = multiprocessing.get_context()
         self._conn, child_conn = ctx.Pipe()
         self._process = ctx.Process(
             target=worker_main,
-            args=(worker_id, child_conn, options),
+            args=(self.worker_id, child_conn, self.options),
             daemon=True,
-            name=f"repro-serve-worker-{worker_id}",
+            name=f"repro-serve-worker-{self.worker_id}",
         )
         self._process.start()
         child_conn.close()
 
+    def _restart(self) -> None:
+        self._conn.close()
+        self._process.kill()
+        self._process.join(timeout=5.0)
+        self.restarts += 1
+        self._start()
+
     def execute(self, serve_request: ServeRequest) -> ServeResponse:
+        if not self._process.is_alive():
+            self._restart()
         try:
             self._conn.send(serve_request)
             return self._conn.recv()
         except (EOFError, OSError) as exc:
+            self._restart()
             raise ServeError(
-                f"worker {self.worker_id} process died mid-request: {exc}"
+                f"worker {self.worker_id} process died mid-request ({exc}); "
+                "started a new one"
             ) from exc
 
     def close(self) -> None:

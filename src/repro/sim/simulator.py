@@ -16,8 +16,8 @@ representations is a one-argument change::
 
 from __future__ import annotations
 
+import math
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
@@ -29,7 +29,7 @@ from repro.dd.edge import Edge
 from repro.dd.gatebuild import build_gate_dd
 from repro.dd.manager import DDManager
 from repro.dd.sanitizer import Sanitizer, SanitizerMode
-from repro.errors import SimulationError
+from repro.errors import JobTimeout, SimulationError
 from repro.obs import Telemetry
 from repro.rings.domega import BIT_WIDTH_BUCKETS
 from repro.sim.trace import SimulationStep, SimulationTrace
@@ -87,90 +87,46 @@ class Simulator:
     ----------
     manager:
         The decision-diagram manager (fixes the number system).
-    record_bit_widths:
-        Collect the max integer bit-width after every gate (slightly
-        costly; needed for the Fig. 5 overhead analysis).
-    use_apply_kernel:
-        Apply gates through the direct vector-DD kernel
-        (:func:`repro.dd.apply.apply_gate`) instead of building a matrix
-        DD and multiplying.  Both paths yield the same canonical state;
-        the kernel skips the identity levels.  ``unitary`` and
-        ``run_matrix_matrix`` always use matrix DDs regardless.
-    sanitize:
-        A :class:`~repro.dd.sanitizer.SanitizerMode` (or its string
-        value / ``True``): ``"off"`` (default), ``"check-on-root"``
-        (full invariant check of the final state of each :meth:`run`)
-        or ``"check-every-op"`` (a full check after every gate).
-        Violations raise :class:`~repro.errors.SanitizerError`.
     telemetry:
         The :class:`~repro.obs.Telemetry` scope for the simulator-level
         instruments (``sim.gates``, ``sim.gate.seconds``, per-gate
         spans).  Defaults to the manager's own scope, so one profile
         covers the whole stack; pass an explicit scope only to separate
         driver metrics from engine metrics.
-    gc:
-        Garbage-collection policy forwarded to the manager's
-        :class:`~repro.dd.mem.MemoryManager` (``True`` for the default
-        policy, an ``int`` node threshold, a
-        :class:`~repro.dd.mem.MemoryBudget` or full
-        :class:`~repro.dd.mem.MemoryConfig`; ``None`` leaves the
-        manager's configuration untouched).  With GC active, :meth:`run`
-        keeps the evolving state registered as a root, gives the
-        collector a chance to run after every gate, and leaves the
-        final state registered (it backs the returned
-        :class:`SimulationResult`).  A configured budget raises
-        :class:`~repro.errors.MemoryBudgetExceeded` mid-run when the
-        live state cannot fit.
     config:
-        A :class:`repro.api.SimulatorConfig` supplying
-        ``record_bit_widths`` / ``use_apply_kernel`` / ``sanitize`` /
-        ``gc`` in one typed object.  This is the supported construction
-        path (:mod:`repro.api` is the facade); passing the loose
-        keyword arguments above instead is **deprecated** and emits a
-        :class:`DeprecationWarning`.  ``config`` and loose kwargs are
-        mutually exclusive.
+        A :class:`repro.api.SimulatorConfig` (duck-typed: any object
+        with its fields works) supplying ``record_bit_widths`` (collect
+        the per-gate max coefficient bit-width, Fig. 5), ``sanitize``
+        (a :class:`~repro.dd.sanitizer.SanitizerMode` value: a full
+        invariant check of each :meth:`run`'s final state, or after
+        every gate; violations raise
+        :class:`~repro.errors.SanitizerError`) and the garbage-collection
+        policy (:meth:`~repro.api.SimulatorConfig.memory_config`,
+        forwarded to the manager's :class:`~repro.dd.mem.MemoryManager`
+        unless it is ``None``).  Without a config all three are off and
+        the manager's memory configuration is left as it is.
+
+    With GC active, :meth:`run` keeps the evolving state registered as
+    a root, gives the collector a chance to run after every gate, and
+    leaves the final state registered (it backs the returned
+    :class:`SimulationResult`).  A configured budget raises
+    :class:`~repro.errors.MemoryBudgetExceeded` mid-run when the live
+    state cannot fit.
+
+    Gates are applied through the direct vector-DD kernel
+    (:func:`repro.dd.apply.prepare_gate`); :meth:`gate_dd` and the
+    manager's ``mat_vec`` remain for :meth:`unitary` and
+    :meth:`run_matrix_matrix`, which need matrix DDs.
     """
 
     def __init__(
         self,
         manager: DDManager,
-        record_bit_widths: bool = False,
-        use_apply_kernel: bool = True,
-        sanitize: "SanitizerMode | str | bool | None" = None,
         telemetry: Optional[Telemetry] = None,
-        gc: "Any | None" = None,
         config: "Any | None" = None,
     ) -> None:
-        loose = (
-            record_bit_widths is not False
-            or use_apply_kernel is not True
-            or sanitize is not None
-            or gc is not None
-        )
-        if config is not None:
-            # Duck-typed to avoid the repro.api import cycle; any object
-            # with the SimulatorConfig fields works.
-            if loose:
-                raise SimulationError(
-                    "pass either config= or the loose Simulator keyword "
-                    "arguments, not both"
-                )
-            record_bit_widths = config.record_bit_widths
-            use_apply_kernel = config.use_apply_kernel
-            sanitize = None if config.sanitize == "off" else config.sanitize
-            gc = config.memory_config()
-        elif loose:
-            warnings.warn(
-                "loose Simulator keyword arguments (record_bit_widths, "
-                "use_apply_kernel, sanitize, gc) are deprecated; build a "
-                "repro.api.SimulatorConfig and pass config=..., or go "
-                "through repro.api.run / run_batch",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         self.manager = manager
-        self.record_bit_widths = record_bit_widths
-        self.use_apply_kernel = use_apply_kernel
+        self.record_bit_widths = bool(config is not None and config.record_bit_widths)
         self.telemetry = telemetry if telemetry is not None else manager.telemetry
         registry = self.telemetry.metrics
         self._gate_counter = registry.counter("sim.gates")
@@ -179,13 +135,14 @@ class Simulator:
         self._peak_nodes_gauge = registry.gauge("sim.state.peak_nodes")
         self._bit_width_gauge = registry.gauge("sim.state.max_bit_width")
         self._bit_width_hist = registry.histogram("sim.state.bit_width", BIT_WIDTH_BUCKETS)
-        mode = SanitizerMode.coerce(sanitize)
+        mode = SanitizerMode.coerce(None if config is None else config.sanitize)
         self.sanitizer: Optional[Sanitizer] = (
             Sanitizer(manager, mode) if mode is not SanitizerMode.OFF else None
         )
         self._gate_cache: Dict[Tuple, Edge] = {}
         self._entry_cache: Dict[Tuple, Tuple[Any, ...]] = {}
         self._kernel_cache: Dict[Tuple, Any] = {}
+        gc = None if config is None else config.memory_config()
         if gc is not None:
             manager.memory.configure(gc)
         memory = manager.memory
@@ -239,27 +196,25 @@ class Simulator:
         return entries
 
     def _apply_operation(self, state: Edge, operation: Operation) -> Edge:
-        """One gate application: direct kernel or matrix-DD fallback."""
-        if self.use_apply_kernel:
-            key = (
-                operation.gate.name,
-                operation.gate.params,
+        """One gate application through the (cached) direct kernel."""
+        key = (
+            operation.gate.name,
+            operation.gate.params,
+            operation.target,
+            operation.controls,
+            operation.negative_controls,
+        )
+        kernel = self._kernel_cache.get(key)
+        if kernel is None:
+            kernel = prepare_gate(
+                self.manager,
+                self._import_entries(operation),
                 operation.target,
-                operation.controls,
-                operation.negative_controls,
+                controls=operation.controls,
+                negative_controls=operation.negative_controls,
             )
-            kernel = self._kernel_cache.get(key)
-            if kernel is None:
-                kernel = prepare_gate(
-                    self.manager,
-                    self._import_entries(operation),
-                    operation.target,
-                    controls=operation.controls,
-                    negative_controls=operation.negative_controls,
-                )
-                self._kernel_cache[key] = kernel
-            return kernel.apply(state)
-        return self.manager.mat_vec(self.gate_dd(operation), state)
+            self._kernel_cache[key] = kernel
+        return kernel.apply(state)
 
     # ------------------------------------------------------------------
 
@@ -268,12 +223,19 @@ class Simulator:
         circuit: Circuit,
         initial_state: Optional[Edge] = None,
         step_callback: Optional[Callable[[int, Edge], None]] = None,
+        deadline: Optional[float] = None,
     ) -> SimulationResult:
         """Simulate ``circuit`` from ``initial_state`` (default ``|0..0>``).
 
         ``step_callback(gate_index, state_edge)`` runs after every gate;
         the evaluation harness uses it to compute per-gate errors against
         a reference run.
+
+        ``deadline`` is an absolute :func:`time.perf_counter` value.
+        Once it has passed, the run raises
+        :class:`~repro.errors.JobTimeout` after the gate in progress,
+        with that gate already counted in the ``sim.*`` instruments.
+        The check works on any thread.
         """
         if circuit.num_qubits != self.manager.num_qubits:
             raise SimulationError(
@@ -304,6 +266,8 @@ class Simulator:
         previous_nodes = 0
         previous_elapsed = 0.0
         started = time.perf_counter()
+        # Deadline as an offset from ``started``: one comparison per gate.
+        time_limit = math.inf if deadline is None else deadline - started
         for index, operation in enumerate(circuit):
             if tracing:
                 span = tracer.span("sim.gate", gate=str(operation.gate), index=index)
@@ -345,6 +309,10 @@ class Simulator:
             )
             if step_callback is not None:
                 step_callback(index, state)
+            if elapsed > time_limit:
+                raise self._deadline_passed(  # repro-lint: transfers-ownership
+                    state, index + 1, len(circuit)
+                )
         if sanitizer is not None and not check_every_op:
             sanitizer.check_state(state)
         # The final state's root registration is deliberately retained:
@@ -353,6 +321,13 @@ class Simulator:
         return SimulationResult(  # repro-lint: transfers-ownership
             manager=self.manager, state=state, trace=trace
         )
+
+    def _deadline_passed(self, root: Edge, done: int, total: int) -> JobTimeout:
+        """The error for a run stopped after ``done`` gates; takes over
+        and releases the evolving state's root registration."""
+        if self._gc_active:
+            self.manager.memory.dec_ref(root)
+        return JobTimeout(f"job exceeded its deadline after {done} of {total} gates")
 
     def apply(self, state: Edge, operation: Operation) -> Edge:
         """Apply a single gate to a state edge (no trace)."""

@@ -12,6 +12,7 @@ from repro.algorithms.gse import (
     gse_circuit,
     gse_rotation_circuit,
 )
+from repro.api import SimulatorConfig
 from repro.dd.manager import algebraic_manager, numeric_manager
 from repro.errors import CircuitError
 from repro.sim.simulator import Simulator
@@ -126,7 +127,8 @@ class TestCompiledCircuit:
         compiled GSE circuit grows integer bit-widths substantially."""
         compiled = gse_circuit(num_sites=2, precision_bits=2, **SMALL)
         result = Simulator(
-            algebraic_manager(compiled.num_qubits), record_bit_widths=True
+            algebraic_manager(compiled.num_qubits),
+            config=SimulatorConfig(record_bit_widths=True),
         ).run(compiled)
         widths = [step.max_bit_width for step in result.trace.steps]
         assert max(widths) > 16  # far beyond the Grover/BWT regime

@@ -1,5 +1,8 @@
-"""Tests for the repro.api facade: config validation, run, deprecation."""
+"""Tests for the repro.api facade: config validation, run, construction."""
 
+import dataclasses
+import inspect
+import time
 import warnings
 
 import pytest
@@ -14,9 +17,10 @@ from repro.api import (
     SimulatorConfig,
     make_simulator,
     run,
+    run_with,
 )
 from repro.dd.manager import algebraic_manager
-from repro.errors import ConfigError, SimulationError
+from repro.errors import ConfigError, JobTimeout
 from repro.sim.simulator import Simulator
 
 
@@ -111,6 +115,18 @@ class TestRun:
         errors = [e for e in result.trace.errors() if e is not None]
         assert len(errors) == result.num_gates
 
+    def test_deadline_bounds_the_error_reference_run(self):
+        request = RunRequest(
+            bell(3),
+            SimulatorConfig(system="numeric"),
+            error_reference=SimulatorConfig(system="algebraic"),
+        )
+        simulator = request.config.create_simulator(3)
+        with pytest.raises(JobTimeout):
+            run_with(request, simulator, deadline=time.perf_counter())
+        # The reference run hit the deadline; the main run never started.
+        assert simulator.telemetry.metrics.value("sim.gates") == 0
+
     def test_to_dict_is_json_ready(self):
         import json
 
@@ -124,17 +140,10 @@ class TestDeprecation:
             warnings.simplefilter("error")
             Simulator(algebraic_manager(2))
 
-    def test_loose_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning, match="SimulatorConfig"):
-            Simulator(algebraic_manager(2), sanitize="check-on-root")
-
-    def test_config_and_loose_kwargs_conflict(self):
-        with pytest.raises(SimulationError):
-            Simulator(
-                algebraic_manager(2),
-                config=SimulatorConfig(),
-                use_apply_kernel=False,
-            )
+    def test_simulator_takes_options_only_as_config(self):
+        parameters = list(inspect.signature(Simulator).parameters)
+        assert parameters == ["manager", "telemetry", "config"]
+        assert len(dataclasses.fields(SimulatorConfig)) == 11
 
     def test_config_path_wires_sanitizer_and_gc(self):
         config = SimulatorConfig(sanitize="check-on-root", gc=100)

@@ -92,7 +92,6 @@ class TestConfigFingerprint:
             SimulatorConfig(max_nodes=10_000),
             SimulatorConfig(max_bytes=1 << 20),
             SimulatorConfig(record_bit_widths=True),
-            SimulatorConfig(use_apply_kernel=False),
         ]
         hashes = {canonical_hash(circuit, config) for config in [base, *variants]}
         assert len(hashes) == len(variants) + 1
@@ -353,3 +352,8 @@ class TestConfigAliasing:
         fields = dict(config_fingerprint(SimulatorConfig(max_nodes=1000)))
         assert fields["max_nodes"] == 1000
         assert fields["record_bit_widths"] is False
+
+    def test_retired_kernel_switch_keeps_its_v1_pair(self):
+        # v1 hashed use_apply_kernel; the kernel is now unconditional,
+        # and the constant pair keeps every pinned digest valid.
+        assert config_fingerprint(SimulatorConfig())[-1] == ("use_apply_kernel", True)

@@ -54,15 +54,14 @@ def test_kernel_matches_matrix_path(kind, seed):
     num_qubits = rng.randint(3, 5)
     circuit = random_circuit(rng, num_qubits, 30)
     manager = FACTORIES[kind](num_qubits)
-    # Both simulators share one manager, so canonicity makes equal
-    # states pointer-equal and ``edges_equal`` is an O(1) check.
-    kernel_sim = Simulator(manager, use_apply_kernel=True)
-    matrix_sim = Simulator(manager, use_apply_kernel=False)
+    # Both paths share one manager, so canonicity makes equal states
+    # pointer-equal and ``edges_equal`` is an O(1) check.
+    simulator = Simulator(manager)
     kernel_state = manager.zero_state()
     matrix_state = manager.zero_state()
     for index, operation in enumerate(circuit):
-        kernel_state = kernel_sim.apply(kernel_state, operation)
-        matrix_state = matrix_sim.apply(matrix_state, operation)
+        kernel_state = simulator.apply(kernel_state, operation)
+        matrix_state = manager.mat_vec(simulator.gate_dd(operation), matrix_state)
         assert manager.edges_equal(kernel_state, matrix_state), (
             f"kernel diverged from matrix path at gate {index} "
             f"({operation.gate.name}) under {kind}"
@@ -97,7 +96,7 @@ def test_apply_cache_counters(kind):
     """Re-applying a gate to the same state must hit the apply cache,
     and every compute table reports hit/miss/insert counters."""
     manager = FACTORIES[kind](4)
-    simulator = Simulator(manager, use_apply_kernel=True)
+    simulator = Simulator(manager)
     circuit = Circuit(4).h(0).h(1).h(2)
     state = manager.zero_state()
     for operation in circuit:

@@ -78,7 +78,9 @@ class TestGcNeverChangesResults:
         reference = Simulator(factory()).run(circuit).final_amplitudes()
 
         manager = factory()
-        simulator = Simulator(manager, gc=MemoryConfig(**AGGRESSIVE))
+        # sweep_weights has no SimulatorConfig field: configure directly.
+        manager.memory.configure(MemoryConfig(**AGGRESSIVE))
+        simulator = Simulator(manager)
         collected = simulator.run(circuit).final_amplitudes()
 
         assert collected.tobytes() == reference.tobytes()

@@ -276,7 +276,8 @@ class TestBudget:
 class TestSimulatorWiring:
     def test_simulator_gc_keeps_the_final_state_registered(self):
         manager = algebraic_manager(4)
-        simulator = Simulator(manager, gc=MemoryConfig(threshold=8, min_yield=0.0))
+        manager.memory.configure(MemoryConfig(threshold=8, min_yield=0.0))
+        simulator = Simulator(manager)
         circuit = Circuit(4).h(0).cx(0, 1).t(1).cx(1, 2).cx(2, 3)
         result = simulator.run(circuit)
         memory = manager.memory
@@ -288,7 +289,8 @@ class TestSimulatorWiring:
 
     def test_simulator_budget_failure_is_typed(self):
         manager = algebraic_manager(6)
-        simulator = Simulator(manager, gc=MemoryBudget(max_nodes=4))
+        manager.memory.configure(MemoryBudget(max_nodes=4))
+        simulator = Simulator(manager)
         circuit = Circuit(6)
         for qubit in range(6):
             circuit.h(qubit)

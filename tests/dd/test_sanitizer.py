@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms.grover import grover_circuit
+from repro.api import SimulatorConfig
 from repro.circuits import gates
 from repro.circuits.circuit import Circuit
 from repro.dd.edge import Edge, Node, TERMINAL
@@ -29,6 +30,18 @@ from repro.sim.simulator import Simulator
 from tests.dd.conftest import MANAGER_KINDS, make_managers
 
 SINGLE_QUBIT = ["x", "y", "z", "h", "s", "sdg", "t", "tdg"]
+
+EVERY_OP = SimulatorConfig(sanitize="check-every-op")
+ON_ROOT = SimulatorConfig(sanitize="check-on-root")
+
+
+def matrix_path_state(manager, circuit: Circuit) -> Edge:
+    """Simulate through gate matrix DDs and ``mat_vec`` (no kernel)."""
+    simulator = Simulator(manager)
+    state = manager.zero_state()
+    for operation in circuit:
+        state = manager.mat_vec(simulator.gate_dd(operation), state)
+    return state
 
 
 def random_circuit(rng: random.Random, num_qubits: int, depth: int) -> Circuit:
@@ -56,7 +69,7 @@ class TestCleanCircuits:
             num_qubits = rng.randint(2, 6)
             circuit = random_circuit(rng, num_qubits, 15)
             manager = make_managers(num_qubits)[kind]
-            simulator = Simulator(manager, sanitize="check-every-op")
+            simulator = Simulator(manager, config=EVERY_OP)
             simulator.run(circuit)  # raises SanitizerError on any finding
             assert simulator.sanitizer.total.ok
 
@@ -69,7 +82,7 @@ class TestCleanCircuits:
         seed = data.draw(st.integers(min_value=0, max_value=2**16))
         circuit = random_circuit(random.Random(seed), num_qubits, depth)
         manager = make_managers(num_qubits)[kind]
-        simulator = Simulator(manager, sanitize="check-every-op")
+        simulator = Simulator(manager, config=EVERY_OP)
         result = simulator.run(circuit)
         report = simulator.sanitizer.check_state(result.state)
         assert report.ok
@@ -95,7 +108,7 @@ class TestSanitizerModes:
         circuit = Circuit(2, name="bell")
         circuit.h(0)
         circuit.cx(0, 1)
-        simulator = Simulator(manager, sanitize="check-on-root")
+        simulator = Simulator(manager, config=ON_ROOT)
         simulator.run(circuit)
         total = simulator.sanitizer.total
         assert total.ok and total.nodes_checked > 0 and total.amplitudes_checked > 0
@@ -156,7 +169,7 @@ class TestCorruptedDDs:
         circuit.h(0)
         circuit.cx(0, 1)
         # The matrix path populates the mat-vec compute table.
-        state = Simulator(manager, use_apply_kernel=False).run(circuit).state
+        state = matrix_path_state(manager, circuit)
         cache = manager._mat_vec_cache
         assert len(cache) > 0
         key, good = next(iter(cache.items()))
@@ -170,7 +183,7 @@ class TestCorruptedDDs:
     def test_stale_add_entry_caught(self, kind):
         manager = make_managers(3)[kind]
         circuit = grover_circuit(3, 5)
-        state = Simulator(manager, use_apply_kernel=False).run(circuit).state
+        state = matrix_path_state(manager, circuit)
         cache = manager._add_cache
         assert len(cache) > 0
         key, good = next(iter(cache.items()))

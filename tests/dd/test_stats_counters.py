@@ -132,7 +132,10 @@ class TestApplyRoutingCounters:
         circuit = Circuit(2, name="bell")
         circuit.h(0)
         circuit.cx(0, 1)
-        Simulator(manager, use_apply_kernel=False).run(circuit)
+        simulator = Simulator(manager)
+        state = manager.zero_state()
+        for operation in circuit:
+            state = manager.mat_vec(simulator.gate_dd(operation), state)
         stats = manager.statistics()
         assert stats["apply_delegated_ops"] == 0
         assert stats["apply_direct_ops"] == 0

@@ -3,9 +3,10 @@
 The engine's headline guarantee -- ``workers=4`` produces byte-identical
 job payloads to the sequential ``workers=1`` fallback -- is asserted
 here across all four number-system configurations, alongside failure
-isolation, bounded retry and the worker-side timeout.
+isolation, bounded retry and the per-gate job deadline.
 """
 
+import threading
 import time
 
 import pytest
@@ -16,6 +17,7 @@ from repro.errors import ConfigError
 from repro.exec import BatchResult, JobFailure
 from repro.exec.batch import JobTimeout
 from repro.obs import merge_snapshots
+from repro.sim.simulator import Simulator
 
 
 def ghz_t(num_qubits: int = 3) -> Circuit:
@@ -27,6 +29,25 @@ def ghz_t(num_qubits: int = 3) -> Circuit:
         circuit.t(qubit)
     circuit.h(num_qubits - 1)
     return circuit
+
+
+def long_circuit(num_gates: int = 120) -> Circuit:
+    circuit = Circuit(2, name=f"long{num_gates}")
+    for index in range(num_gates):
+        circuit.h(index % 2)
+    return circuit
+
+
+@pytest.fixture
+def slow_gates(monkeypatch):
+    """Every gate application sleeps 10 ms: a 120-gate job takes >1.2 s."""
+    apply = Simulator._apply_operation
+
+    def slow(self, state, operation):
+        time.sleep(0.01)
+        return apply(self, state, operation)
+
+    monkeypatch.setattr(Simulator, "_apply_operation", slow)
 
 
 #: The four number-system configurations of the facade (paper Section V).
@@ -112,18 +133,18 @@ class TestFailureIsolation:
 
 class TestRetry:
     def test_flaky_job_succeeds_on_retry(self, monkeypatch):
-        from repro.api import run as real_run
+        from repro.api import run_with as real_run_with
         from repro.exec import batch as batch_mod
 
         calls = {"count": 0}
 
-        def flaky_run(request, telemetry=None):
+        def flaky_run_with(*args, **kwargs):
             calls["count"] += 1
             if calls["count"] == 1:
                 raise RuntimeError("transient worker hiccup")
-            return real_run(request, telemetry=telemetry)
+            return real_run_with(*args, **kwargs)
 
-        monkeypatch.setattr(batch_mod, "run", flaky_run)
+        monkeypatch.setattr(batch_mod, "run_with", flaky_run_with)
         batch = run_batch(
             [RunRequest(ghz_t(), label="flaky")], workers=1, retries=2, backoff=0.0
         )
@@ -134,10 +155,10 @@ class TestRetry:
     def test_retries_are_bounded(self, monkeypatch):
         from repro.exec import batch as batch_mod
 
-        def always_fails(request, telemetry=None):
+        def always_fails(*args, **kwargs):
             raise RuntimeError("permanent")
 
-        monkeypatch.setattr(batch_mod, "run", always_fails)
+        monkeypatch.setattr(batch_mod, "run_with", always_fails)
         batch = run_batch(
             [RunRequest(ghz_t(), label="doomed")], workers=1, retries=2, backoff=0.0
         )
@@ -151,30 +172,53 @@ class TestRetry:
         sleeps = []
         monkeypatch.setattr(batch_mod.time, "sleep", sleeps.append)
 
-        def always_fails(request, telemetry=None):
+        def always_fails(*args, **kwargs):
             raise RuntimeError("permanent")
 
-        monkeypatch.setattr(batch_mod, "run", always_fails)
+        monkeypatch.setattr(batch_mod, "run_with", always_fails)
         run_batch([RunRequest(ghz_t())], workers=1, retries=3, backoff=0.5)
         assert sleeps == [0.5, 1.0, 2.0]  # exponential
 
 
 class TestTimeout:
-    def test_wedged_job_times_out(self, monkeypatch):
-        from repro.exec import batch as batch_mod
-
-        def wedged(request, telemetry=None):
-            time.sleep(30.0)
-
-        monkeypatch.setattr(batch_mod, "run", wedged)
+    def test_wedged_job_times_out(self, slow_gates):
+        circuit = long_circuit()
         started = time.perf_counter()
-        batch = run_batch([RunRequest(ghz_t(), label="wedged")], workers=1, timeout=0.2)
+        batch = run_batch([RunRequest(circuit, label="wedged")], workers=1, timeout=0.2)
         elapsed = time.perf_counter() - started
         assert elapsed < 5.0
         (failure,) = batch.failures
         assert failure.timed_out
         assert failure.error_type == "JobTimeout"
         assert batch.metrics["exec.batch.timeouts"] == 1
+        # The partial metrics show where the deadline stopped the run.
+        assert 0 < failure.metrics["sim.gates"] < len(circuit)
+
+    def test_deadline_holds_off_the_main_thread(self, slow_gates):
+        outcome = {}
+
+        def sweep():
+            outcome["batch"] = run_batch(
+                [RunRequest(long_circuit(), label="threaded")], workers=1, timeout=0.2
+            )
+
+        thread = threading.Thread(target=sweep)
+        thread.start()
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        (failure,) = outcome["batch"].failures
+        assert failure.timed_out and failure.error_type == "JobTimeout"
+
+    def test_pool_workers_time_out_between_gates(self, slow_gates):
+        # Pool workers are forked, so they inherit the slow gates.
+        circuit = long_circuit()
+        requests = [RunRequest(circuit, label=f"pool{index}") for index in range(2)]
+        batch = run_batch(requests, workers=2, timeout=0.2)
+        assert [failure.error_type for failure in batch.failures] == ["JobTimeout"] * 2
+        assert batch.metrics["exec.batch.timeouts"] == 2
+        assert all(
+            0 < failure.metrics["sim.gates"] < len(circuit) for failure in batch.failures
+        )
 
     def test_fast_job_unaffected_by_deadline(self):
         batch = run_batch([RunRequest(ghz_t())], workers=1, timeout=60.0)

@@ -10,6 +10,7 @@ under all four number systems.
 import pytest
 
 from repro.algorithms.grover import grover_circuit
+from repro.api import SimulatorConfig
 from repro.dd.manager import algebraic_gcd_manager, algebraic_manager, numeric_manager
 from repro.evalsuite.reporting import hit_rate_rows
 from repro.obs import Telemetry, validate_chrome_trace, spans_to_chrome_trace
@@ -128,7 +129,7 @@ class TestTracingIntegration:
     def test_sanitizer_spans(self):
         telemetry = Telemetry.tracing()
         manager = SYSTEMS["algebraic-q"](3, telemetry=telemetry)
-        simulator = Simulator(manager, sanitize="check-on-root")
+        simulator = Simulator(manager, config=SimulatorConfig(sanitize="check-on-root"))
         simulator.run(grover_circuit(3, 2))
         names = {span.name for span in telemetry.tracer.spans()}
         assert "dd.sanitize.walk" in names

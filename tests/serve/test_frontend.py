@@ -13,6 +13,7 @@ import pytest
 from repro import errors
 from repro.api import RunRequest, SimulatorConfig, run
 from repro.circuits.library import ghz_circuit
+from repro.exec.batch import JobOutcome
 from repro.serve.frontend import ServiceFrontend
 from repro.serve.protocol import ServeResponse
 from repro.serve.worker import InlineWorkerClient
@@ -31,10 +32,8 @@ class BlockingClient:
         self.executed.append(serve_request.seq)
         return ServeResponse(
             seq=serve_request.seq,
-            ok=False,
             worker_id=self.worker_id,
-            error_type="Blocked",
-            message="released without a result",
+            outcome=JobOutcome(error_type="Blocked", message="released without a result"),
         )
 
     def close(self):

@@ -5,6 +5,11 @@ produce payloads byte-identical to the direct repro.api.run path -- is
 asserted here across all four number systems.
 """
 
+import os
+import signal
+import threading
+import time
+
 import pytest
 
 from repro import errors
@@ -13,6 +18,7 @@ from repro.circuits.circuit import Circuit
 from repro.circuits.library import ghz_circuit
 from repro.obs import Telemetry
 from repro.serve import SimulationService
+from repro.sim.simulator import Simulator
 
 FOUR_SYSTEMS = [
     pytest.param(SimulatorConfig(system="algebraic"), id="algebraic"),
@@ -184,9 +190,9 @@ class TestWarmReuse:
         request = RunRequest(_workload(), SimulatorConfig())
         cold = worker.execute(ServeRequest(seq=1, request=request))
         warm = worker.execute(ServeRequest(seq=2, request=request))
-        assert cold.ok and warm.ok
+        assert cold.outcome.ok and warm.outcome.ok
         assert not cold.warm and warm.warm
-        assert cold.result.state_payload == warm.result.state_payload
+        assert cold.outcome.result.state_payload == warm.outcome.result.state_payload
         # Three distinct configs through a max_warm=2 worker: LRU bound.
         for index, system in enumerate(("algebraic-gcd", "numeric")):
             worker.execute(
@@ -208,7 +214,7 @@ class TestWarmReuse:
         assert worker.warm_entries == 1
         bad = RunRequest(Circuit(1, name="bad").p(0.1, 0), config)
         response = worker.execute(ServeRequest(seq=2, request=bad))
-        assert not response.ok
+        assert not response.outcome.ok
         # The 1-qubit algebraic entry (shared key) was dropped.
         assert worker.warm_entries == 0
 
@@ -230,3 +236,73 @@ class TestWarmReuse:
         worker2.execute(ServeRequest(seq=1, request=RunRequest(first, exact_numeric)))
         worker2.execute(ServeRequest(seq=2, request=RunRequest(second, exact_numeric)))
         assert worker2.warm_entries == 1
+
+
+def _long_circuit(num_gates=100):
+    circuit = Circuit(2, name=f"long{num_gates}")
+    for index in range(num_gates):
+        circuit.h(index % 2)
+    return circuit
+
+
+@pytest.fixture
+def slow_gates(monkeypatch):
+    """Every gate application sleeps 10 ms (forked workers inherit it)."""
+    apply = Simulator._apply_operation
+
+    def slow(self, state, operation):
+        time.sleep(0.01)
+        return apply(self, state, operation)
+
+    monkeypatch.setattr(Simulator, "_apply_operation", slow)
+
+
+class TestDeadlines:
+    @pytest.mark.parametrize("mode", ["inline", "process"])
+    def test_deadline_stops_the_run_and_frees_the_shard(self, mode, slow_gates):
+        # The long request needs >= 1 s; its deadline is 0.2 s.  The
+        # worker must stop at a gate boundary, so the tiny request that
+        # follows on the same (only) shard does not wait for the rest.
+        tiny = RunRequest(ghz_circuit(2), SimulatorConfig())
+        with SimulationService(workers=1, mode=mode, cache_capacity=0) as service:
+            with pytest.raises(errors.DeadlineExceeded):
+                service.submit(RunRequest(_long_circuit(), SimulatorConfig()), timeout=0.2)
+            started = time.perf_counter()
+            result = service.submit(tiny)
+            tiny_seconds = time.perf_counter() - started
+            stats = service.stats()
+        assert tiny_seconds < 0.5
+        assert result.state_payload == run(tiny).state_payload
+        assert stats["serve.rejected.deadline"] == 1
+
+
+class TestWorkerRestart:
+    def test_killed_idle_worker_is_replaced(self):
+        request = RunRequest(_workload(), SimulatorConfig())
+        direct = run(request)
+        with SimulationService(workers=1, mode="process", cache_capacity=0) as service:
+            service.submit(request)
+            (client,) = service._frontend.clients
+            os.kill(client._process.pid, signal.SIGKILL)
+            client._process.join(timeout=5.0)
+            result = service.submit(request)
+            stats = service.stats()
+        assert result.state_payload == direct.state_payload
+        assert stats["serve.worker.restarts"] == 1
+
+    def test_death_mid_request_is_typed_and_the_shard_recovers(self, slow_gates):
+        request = RunRequest(_workload(), SimulatorConfig())
+        with SimulationService(workers=1, mode="process", cache_capacity=0) as service:
+            (client,) = service._frontend.clients
+            killer = threading.Timer(
+                0.3, os.kill, args=(client._process.pid, signal.SIGKILL)
+            )
+            killer.start()
+            with pytest.raises(errors.ServeError, match="died mid-request"):
+                service.submit(RunRequest(_long_circuit(), SimulatorConfig()))
+            killer.join(timeout=5.0)
+            assert not killer.is_alive()
+            result = service.submit(request)
+            stats = service.stats()
+        assert result.state_payload == run(request).state_payload
+        assert stats["serve.worker.restarts"] == 1

@@ -1,14 +1,16 @@
 """Tests for the QMDD circuit simulator against the dense reference."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
+from repro.api import SimulatorConfig
 from repro.circuits.circuit import Circuit
 from repro.circuits.library import ghz_circuit, qft_circuit, uniform_superposition
 from repro.dd.manager import algebraic_gcd_manager, algebraic_manager, numeric_manager
-from repro.errors import SimulationError
+from repro.errors import JobTimeout, SimulationError
 from repro.sim.simulator import Simulator
 from repro.sim.statevector import StatevectorSimulator
 
@@ -117,7 +119,8 @@ class TestExactness:
 
     def test_bit_width_recording(self):
         circuit = Circuit(2).h(0).t(0).h(0).t(0)
-        result = Simulator(algebraic_manager(2), record_bit_widths=True).run(circuit)
+        config = SimulatorConfig(record_bit_widths=True)
+        result = Simulator(algebraic_manager(2), config=config).run(circuit)
         assert all(step.max_bit_width >= 1 for step in result.trace.steps)
 
 
@@ -152,9 +155,8 @@ class TestValidation:
             circuit.h(0)
         simulator.run(circuit)
         assert len(simulator._kernel_cache) == 1
-        # Matrix-DD fallback: they share one built gate DD.
-        simulator = Simulator(algebraic_manager(2), use_apply_kernel=False)
-        simulator.run(circuit)
+        # Matrix DDs (unitary, matrix-matrix runs): one built gate DD.
+        simulator.unitary(circuit)
         assert len(simulator._gate_cache) == 1
 
     def test_step_callback(self):
@@ -172,3 +174,26 @@ class TestValidation:
         np.testing.assert_allclose(
             result.final_amplitudes(), [0, 1, 0, 0], atol=1e-12
         )
+
+
+class TestDeadline:
+    def test_passed_deadline_stops_after_the_gate_in_progress(self):
+        simulator = Simulator(algebraic_manager(2))
+        circuit = Circuit(2).h(0).cx(0, 1).t(1)
+        with pytest.raises(JobTimeout, match="after 1 of 3 gates"):
+            simulator.run(circuit, deadline=time.perf_counter())
+        assert simulator.telemetry.metrics.value("sim.gates") == 1
+
+    def test_future_deadline_runs_every_gate(self):
+        simulator = Simulator(algebraic_manager(2))
+        circuit = Circuit(2).h(0).cx(0, 1).t(1)
+        result = simulator.run(circuit, deadline=time.perf_counter() + 60.0)
+        assert len(result.trace.steps) == len(circuit)
+
+    def test_timeout_releases_the_gc_root(self):
+        simulator = SimulatorConfig(gc=1).create_simulator(3)
+        with pytest.raises(JobTimeout):
+            simulator.run(ghz_circuit(3), deadline=time.perf_counter())
+        memory = simulator.manager.memory
+        assert memory.statistics()["registered_roots"] == 0
+        assert memory.audit() == []

@@ -3,7 +3,7 @@
 Hash-consing and the facade are both "single construction path"
 invariants: a node built outside the unique table can never be the
 canonical resident for its key, and a ``Simulator`` built outside
-``repro.api`` re-opens the loose-kwarg surface the facade deprecates.
+``repro.api`` bypasses the facade's validated configuration.
 """
 
 from __future__ import annotations
