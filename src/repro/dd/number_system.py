@@ -676,7 +676,9 @@ class _InternedAlgebraicSystem(NumberSystem):
         return -value
 
     def conj(self, value: Any) -> Any:
-        memo_key = self.table.intern_id(value)
+        memo_key = self._id_of(id(value))
+        if memo_key is None:
+            memo_key = self.table.intern_id(value)
         result = self._conj_memo.get(memo_key)
         if result is None:
             result = self.table.intern(value.conj())
@@ -883,7 +885,10 @@ class AlgebraicQOmegaSystem(_InternedAlgebraicSystem):
         if pivot_index < 0:
             raise DDError("normalize called on all-zero weights")
         eta = weights[pivot_index]
-        inverse = eta.inverse()
+        if eta.is_one():
+            # Already normalised (the scale-invariance fast path of
+            # ``_normalize_miss`` hands over ratio tuples led by 1).
+            return (eta, weights)
         normalized = []
         for index, weight in enumerate(weights):
             if weight.is_zero():
@@ -891,18 +896,25 @@ class AlgebraicQOmegaSystem(_InternedAlgebraicSystem):
             elif index == pivot_index:
                 normalized.append(self._one)
             else:
-                normalized.append(weight * inverse)
+                normalized.append(weight / eta)
         return (eta, tuple(normalized))
 
     def division_helper(self, numerator: QOmega, denominator: QOmega) -> Optional[QOmega]:
         if denominator.is_zero():
             return None
-        numerator_id = self.table.intern_id(numerator)
-        denominator_id = self.table.intern_id(denominator)
+        if numerator is denominator:
+            return self._one
+        id_of = self._id_of
+        numerator_id = id_of(id(numerator))
+        if numerator_id is None:
+            numerator_id = self.table.intern_id(numerator)
+        denominator_id = id_of(id(denominator))
+        if denominator_id is None:
+            denominator_id = self.table.intern_id(denominator)
         memo_key = (numerator_id, denominator_id)
         result = self._div_memo.get(memo_key)
         if result is None:
-            result = self.table.intern(numerator * denominator.inverse())
+            result = self.table.intern(numerator / denominator)
             self._div_memo.put(memo_key, result)
         return result
 
@@ -1047,6 +1059,8 @@ class AlgebraicGcdSystem(_InternedAlgebraicSystem):
     def division_helper(self, numerator: DOmega, denominator: DOmega) -> Optional[DOmega]:
         if denominator.is_zero():
             return None
+        if numerator is denominator:
+            return self._one
         id_of = self._id_of
         numerator_id = id_of(id(numerator))
         if numerator_id is None:

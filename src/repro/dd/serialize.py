@@ -14,6 +14,11 @@ Weight payloads depend on the number system:
 * algebraic D[omega] (GCD scheme): ``[a, b, c, d, k]``;
 * numeric: ``[re, im]`` doubles (lossy only in the sense that the
   tolerance-table identity structure is rebuilt on load).
+
+:func:`loads` is a public boundary: every exact weight payload must be
+a list of the right length holding JSON integers (``true``/``false``
+are rejected, so equal values cannot load into different payload
+bytes), and any malformed payload raises :class:`~repro.errors.DDError`.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from repro.dd.number_system import (
     AlgebraicQOmegaSystem,
     NumericSystem,
 )
-from repro.errors import DDError
+from repro.errors import DDError, RingError
 from repro.rings.domega import DOmega
 from repro.rings.qomega import QOmega
 from repro.rings.zomega import ZOmega
@@ -50,14 +55,29 @@ def _weight_payload(manager: DDManager, weight: Any) -> List:
     raise DDError(f"cannot serialise weights of system {system.name!r}")
 
 
+def _exact_payload(payload: object, length: int) -> List[int]:
+    """Validate an exact weight payload: ``length`` plain JSON integers."""
+    if not isinstance(payload, list) or len(payload) != length:
+        raise DDError(
+            f"exact weight payload must be a list of {length} integers, got {payload!r}"
+        )
+    for value in payload:
+        if type(value) is not int:
+            raise DDError(f"exact weight payload {payload!r} holds a non-integer {value!r}")
+    return payload
+
+
 def _weight_from_payload(manager: DDManager, payload: List) -> Any:
     system = manager.system
-    if isinstance(system, AlgebraicQOmegaSystem):
-        a, b, c, d, k, e = payload
-        return QOmega(ZOmega(a, b, c, d), k, e)
-    if isinstance(system, AlgebraicGcdSystem):
-        a, b, c, d, k = payload
-        return DOmega(ZOmega(a, b, c, d), k)
+    try:
+        if isinstance(system, AlgebraicQOmegaSystem):
+            a, b, c, d, k, e = _exact_payload(payload, 6)
+            return QOmega(ZOmega(a, b, c, d), k, e)
+        if isinstance(system, AlgebraicGcdSystem):
+            a, b, c, d, k = _exact_payload(payload, 5)
+            return DOmega(ZOmega(a, b, c, d), k)
+    except RingError as error:  # e.g. a zero Q[omega] denominator
+        raise DDError(f"invalid exact weight payload {payload!r}: {error}") from error
     if isinstance(system, NumericSystem):
         return system.from_complex(complex(payload[0], payload[1]))
     raise DDError(f"cannot deserialise weights of system {system.name!r}")

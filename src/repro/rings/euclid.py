@@ -13,6 +13,11 @@ The rounding quotient occasionally needs adjustment in corner cases, so
 :func:`euclidean_divmod` falls back to scanning the 3^4 nearest integer
 quotients; norm-Euclideanity of :math:`\mathbb{Q}(\zeta_8)` guarantees a
 remainder with strictly smaller norm exists.
+
+:func:`euclidean_divmod` is the specification.  :func:`gcd_zomega` runs
+the same remainder sequence on plain int quadruples (no ring objects
+per step) and defers to :func:`euclidean_divmod` for the rare step
+whose rounded quotient misses the norm bound.
 """
 
 from __future__ import annotations
@@ -21,7 +26,13 @@ from itertools import product
 from typing import Tuple
 
 from repro.errors import ZeroDivisionRingError
-from repro.rings.zomega import ZOmega
+from repro.rings.zomega import (
+    Coefficients,
+    ZOmega,
+    _zomega,
+    adjugate_coefficients,
+    mul_coefficients,
+)
 
 __all__ = ["euclidean_divmod", "gcd_zomega", "gcd_many"]
 
@@ -91,16 +102,53 @@ def gcd_zomega(z1: ZOmega, z2: ZOmega) -> ZOmega:
 
     GCDs are only defined up to multiplication by units; the caller
     (Algorithm 3's normalisation) applies its own unit-selection rules
-    afterwards.  ``gcd(0, 0) = 0`` by convention.
+    afterwards.  ``gcd(0, 0) = 0`` by convention.  The result is the
+    last non-zero remainder of repeated :func:`euclidean_divmod`, i.e.
+    always the same associate.
     """
     if z1.is_zero():
         return z2
     if z2.is_zero():
         return z1
-    while not z2.is_zero():
-        _, remainder = euclidean_divmod(z1, z2)
-        z1, z2 = z2, remainder
-    return z1
+    return _zomega(*_gcd_coefficients(z1.coefficients(), z2.coefficients()))
+
+
+def _gcd_coefficients(x: Coefficients, y: Coefficients) -> Coefficients:
+    """The Euclidean loop of :func:`gcd_zomega` on int quadruples.
+
+    Each step is :func:`euclidean_divmod`'s: round the exact quotient
+    ``x * conj(y) * (u - v sqrt2) / (u^2 - 2 v^2)`` to the nearest
+    integers and keep the remainder if its norm is below ``E(y)``;
+    otherwise the step is delegated to :func:`euclidean_divmod` itself.
+    The remainder's relative norm ``(u, v)`` is carried into the next
+    step, where it is the divisor's.
+    """
+    a1, b1, c1, d1 = x
+    a2, b2, c2, d2 = y
+    u = a2 * a2 + b2 * b2 + c2 * c2 + d2 * d2
+    v = a2 * b2 + b2 * c2 + c2 * d2 - a2 * d2
+    while a2 or b2 or c2 or d2:
+        denominator = u * u - 2 * v * v
+        # x * adj(y) / denominator is the exact quotient x / y.
+        p, q, r, s = adjugate_coefficients(a2, b2, c2, d2, u, v)
+        p, q, r, s = mul_coefficients(a1, b1, c1, d1, p, q, r, s)
+        if denominator < 0:
+            p, q, r, s, denominator = -p, -q, -r, -s, -denominator
+        qa = _round_ratio_half_even(p, denominator)
+        qb = _round_ratio_half_even(q, denominator)
+        qc = _round_ratio_half_even(r, denominator)
+        qd = _round_ratio_half_even(s, denominator)
+        p, q, r, s = mul_coefficients(qa, qb, qc, qd, a2, b2, c2, d2)
+        p, q, r, s = a1 - p, b1 - q, c1 - r, d1 - s
+        ru = p * p + q * q + r * r + s * s
+        rv = p * q + q * r + r * s - p * s
+        if abs(ru * ru - 2 * rv * rv) >= denominator:
+            _, remainder = euclidean_divmod(_zomega(a1, b1, c1, d1), _zomega(a2, b2, c2, d2))
+            p, q, r, s = remainder.coefficients()
+            ru, rv = remainder.norm_zsqrt2()
+        a1, b1, c1, d1, a2, b2, c2, d2 = a2, b2, c2, d2, p, q, r, s
+        u, v = ru, rv
+    return (a1, b1, c1, d1)
 
 
 def gcd_many(*elements: ZOmega) -> ZOmega:

@@ -27,11 +27,20 @@ Inverses follow the paper's recipe: for ``z`` with relative norm
 from __future__ import annotations
 
 from math import gcd as int_gcd  # repro-lint: allow[RL002] (integer gcd is exact)
-from typing import Tuple
+from typing import Any, Tuple
 
 from repro.errors import ZeroDivisionRingError
 from repro.rings.domega import DOmega
-from repro.rings.zomega import ZOmega
+from repro.rings.zomega import (
+    ZOmega,
+    _as_int,
+    _new_object,
+    _zomega,
+    adjugate_coefficients,
+    mul_coefficients,
+    scale_coefficients,
+    strip_sqrt2,
+)
 
 __all__ = ["QOmega"]
 
@@ -47,35 +56,28 @@ class QOmega:
 
     __slots__ = ("zeta", "k", "e", "_key", "_hash")
 
+    zeta: ZOmega
+    k: int
+    e: int
+    _key: Tuple[int, int, int, int, int, int]
+    _hash: "int | None"
+
     def __init__(self, zeta: ZOmega, k: int = 0, e: int = 1) -> None:
+        # The public, validating constructor.  Field arithmetic builds
+        # its results through the trusted :func:`_canonical`.
         if not isinstance(zeta, ZOmega):
             raise TypeError("numerator must be a ZOmega")
-        if not isinstance(k, int) or not isinstance(e, int):
-            raise TypeError("k and e must be int")
+        if type(k) is not int:
+            k = _as_int("k", k)
+        if type(e) is not int:
+            e = _as_int("e", e)
         if e == 0:
             raise ZeroDivisionRingError("zero denominator in Q[omega]")
-        if zeta.is_zero():
-            zeta, k, e = ZOmega.zero(), 0, 1
-        else:
-            if e < 0:
-                zeta, e = -zeta, -e
-            # Fold even denominator factors into the sqrt2 exponent.
-            while e % 2 == 0:
-                e //= 2
-                k += 2
-            # Remove sqrt2 factors from the numerator (Algorithm 1).
-            while zeta.divisible_by_sqrt2():
-                zeta = zeta.divide_by_sqrt2()
-                k -= 1
-            # Reduce the odd denominator against the numerator content.
-            common = int_gcd(zeta.content(), e)
-            if common > 1:
-                zeta = ZOmega(*(coefficient // common for coefficient in zeta.coefficients()))
-                e //= common
-        object.__setattr__(self, "zeta", zeta)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "_key", zeta.coefficients() + (k, e))
+        value = _canonical(zeta.a, zeta.b, zeta.c, zeta.d, k, e)
+        object.__setattr__(self, "zeta", value.zeta)
+        object.__setattr__(self, "k", value.k)
+        object.__setattr__(self, "e", value.e)
+        object.__setattr__(self, "_key", value._key)
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -170,20 +172,29 @@ class QOmega:
     # ------------------------------------------------------------------
 
     def __add__(self, other: "QOmega") -> "QOmega":
-        if isinstance(other, int):
-            other = QOmega.from_int(other)
         if not isinstance(other, QOmega):
-            return NotImplemented
-        k = max(self.k, other.k)
-        lcm = self.e * other.e // int_gcd(self.e, other.e)
-        left = _scale(self.zeta, k - self.k) * (lcm // self.e)
-        right = _scale(other.zeta, k - other.k) * (lcm // other.e)
-        return QOmega(left + right, k, lcm)
+            if not isinstance(other, int):
+                return NotImplemented
+            other = QOmega.from_int(other)
+        a1, b1, c1, d1, k1, e1 = self._key
+        a2, b2, c2, d2, k2, e2 = other._key
+        k = max(k1, k2)
+        a1, b1, c1, d1 = scale_coefficients(a1, b1, c1, d1, k - k1)
+        a2, b2, c2, d2 = scale_coefficients(a2, b2, c2, d2, k - k2)
+        if e1 == e2:
+            lcm = e1
+        else:
+            lcm = e1 * e2 // int_gcd(e1, e2)
+            f1, f2 = lcm // e1, lcm // e2
+            a1, b1, c1, d1 = a1 * f1, b1 * f1, c1 * f1, d1 * f1
+            a2, b2, c2, d2 = a2 * f2, b2 * f2, c2 * f2, d2 * f2
+        return _canonical(a1 + a2, b1 + b2, c1 + c2, d1 + d2, k, lcm)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QOmega":
-        return QOmega(-self.zeta, self.k, self.e)
+        # Negation keeps content and parity pattern: still canonical.
+        return _qomega(-self.zeta, self.k, self.e)
 
     def __sub__(self, other: "QOmega") -> "QOmega":
         if isinstance(other, int):
@@ -198,11 +209,17 @@ class QOmega:
         return NotImplemented
 
     def __mul__(self, other: "QOmega") -> "QOmega":
-        if isinstance(other, int):
-            return QOmega(self.zeta * other, self.k, self.e)
-        if not isinstance(other, QOmega):
-            return NotImplemented
-        return QOmega(self.zeta * other.zeta, self.k + other.k, self.e * other.e)
+        if type(other) is not QOmega:
+            if isinstance(other, int):
+                factor = int(other)
+                a, b, c, d, k, e = self._key
+                return _canonical(a * factor, b * factor, c * factor, d * factor, k, e)
+            if not isinstance(other, QOmega):
+                return NotImplemented
+        a1, b1, c1, d1, k1, e1 = self._key
+        a2, b2, c2, d2, k2, e2 = other._key
+        a, b, c, d = mul_coefficients(a1, b1, c1, d1, a2, b2, c2, d2)
+        return _canonical(a, b, c, d, k1 + k2, e1 * e2)
 
     __rmul__ = __mul__
 
@@ -210,18 +227,27 @@ class QOmega:
         """The multiplicative inverse (paper, Section IV-B / Example 8)."""
         if self.is_zero():
             raise ZeroDivisionRingError("inverse of zero in Q[omega]")
+        a, b, c, d, k, e = self._key
         u, v = self.zeta.norm_zsqrt2()
-        numerator = self.zeta.conj() * (ZOmega.from_int(u) - ZOmega.sqrt2() * v)
+        a, b, c, d = adjugate_coefficients(a, b, c, d, u, v)
         euclidean = u * u - 2 * v * v  # = E(zeta) up to sign, never zero
         # 1/self = e * sqrt2**k * conj(zeta) * (u - v sqrt2) / euclidean
-        return QOmega(numerator * self.e, -self.k, euclidean)
+        return _canonical(a * e, b * e, c * e, d * e, -k, euclidean)
 
     def __truediv__(self, other: "QOmega") -> "QOmega":
-        if isinstance(other, int):
-            other = QOmega.from_int(other)
+        """``self * other.inverse()`` fused into one canonicalisation."""
         if not isinstance(other, QOmega):
-            return NotImplemented
-        return self * other.inverse()
+            if not isinstance(other, int):
+                return NotImplemented
+            other = QOmega.from_int(other)
+        if other.is_zero():
+            raise ZeroDivisionRingError("inverse of zero in Q[omega]")
+        a1, b1, c1, d1, k1, e1 = self._key
+        a2, b2, c2, d2, k2, e2 = other._key
+        u, v = other.zeta.norm_zsqrt2()
+        a2, b2, c2, d2 = adjugate_coefficients(a2, b2, c2, d2, u, v)
+        a, b, c, d = mul_coefficients(a1, b1, c1, d1, a2, b2, c2, d2)
+        return _canonical(a * e2, b * e2, c * e2, d * e2, k1 - k2, e1 * (u * u - 2 * v * v))
 
     def __pow__(self, exponent: int) -> "QOmega":
         if not isinstance(exponent, int):
@@ -239,7 +265,8 @@ class QOmega:
 
     def conj(self) -> "QOmega":
         """Complex conjugation."""
-        return QOmega(self.zeta.conj(), self.k, self.e)
+        # Conjugation keeps content and parity pattern: still canonical.
+        return _qomega(self.zeta.conj(), self.k, self.e)
 
     def abs_squared(self) -> "QOmega":
         """``|alpha|^2`` as a real ``Q[omega]`` element."""
@@ -314,14 +341,52 @@ class QOmega:
         return text
 
 
-def _scale(zeta: ZOmega, power: int) -> ZOmega:
-    """Multiply by ``sqrt2**power`` (``power >= 0``)."""
-    if power >= 2:
-        zeta = zeta * (1 << (power // 2))
-    if power % 2:
-        zeta = zeta.mul_sqrt2()
-    return zeta
+_set_zeta: Any = getattr(QOmega, "zeta").__set__
+_set_k: Any = getattr(QOmega, "k").__set__
+_set_e: Any = getattr(QOmega, "e").__set__
+_set_key: Any = getattr(QOmega, "_key").__set__
+_set_hash: Any = getattr(QOmega, "_hash").__set__
 
 
-_ZERO = QOmega(ZOmega.zero())
-_ONE = QOmega(ZOmega.one())
+def _qomega(zeta: ZOmega, k: int, e: int) -> QOmega:
+    """The trusted internal constructor for an already canonical
+    ``zeta / (sqrt2**k * e)``: no validation, no reduction."""
+    element: QOmega = _new_object(QOmega)
+    _set_zeta(element, zeta)
+    _set_k(element, k)
+    _set_e(element, e)
+    _set_key(element, (zeta.a, zeta.b, zeta.c, zeta.d, k, e))
+    _set_hash(element, None)
+    return element
+
+
+def _canonical(a: int, b: int, c: int, d: int, k: int, e: int) -> QOmega:
+    """``(a w^3 + b w^2 + c w + d) / (sqrt2**k * e)`` in canonical form
+    (``e != 0``), computed on plain ints."""
+    if not (a or b or c or d):
+        return _ZERO
+    if e < 0:
+        a, b, c, d, e = -a, -b, -c, -d, -e
+    # Fold even denominator factors into the sqrt2 exponent.
+    if not e & 1:
+        twos = (e & -e).bit_length() - 1
+        e >>= twos
+        k += 2 * twos
+    # Remove sqrt2 factors from the numerator (Algorithm 1).
+    a, b, c, d, removed = strip_sqrt2(a, b, c, d)
+    k -= removed
+    # Reduce the odd denominator against the numerator content:
+    # gcd(e, a, b, c, d), stopping as soon as it reaches 1.
+    if e != 1:
+        common = e
+        for coefficient in (a, b, c, d):
+            common = int_gcd(common, coefficient)
+            if common == 1:
+                break
+        else:
+            a, b, c, d, e = a // common, b // common, c // common, d // common, e // common
+    return _qomega(_zomega(a, b, c, d), k, e)
+
+
+_ZERO = _qomega(ZOmega.zero(), 0, 1)
+_ONE = _qomega(ZOmega.one(), 0, 1)

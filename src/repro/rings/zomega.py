@@ -41,11 +41,26 @@ paper) possible.
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
+from typing import Any, Iterator, Tuple
 
 from repro.errors import InexactDivisionError, ZeroDivisionRingError
 
 __all__ = ["ZOmega"]
+
+#: A ``Z[omega]`` coefficient quadruple ``(a, b, c, d)``.
+Coefficients = Tuple[int, int, int, int]
+
+
+def _as_int(name: str, value: object) -> int:
+    """Validate one integer at the public edge of the ring layer.
+
+    ``int`` subclasses (``bool``, ``IntEnum`` members) become plain
+    ``int``: equal values must share one representation, or keys,
+    reprs and serialized payloads of equal elements would differ.
+    """
+    if not isinstance(value, int):
+        raise TypeError(f"{name} must be int, got {type(value).__name__}")
+    return int(value)
 
 
 class ZOmega:
@@ -58,11 +73,19 @@ class ZOmega:
 
     __slots__ = ("a", "b", "c", "d", "_norm2")
 
+    a: int
+    b: int
+    c: int
+    d: int
+
     def __init__(self, a: int, b: int, c: int, d: int) -> None:
+        # The public, validating constructor.  Ring arithmetic builds its
+        # results through the trusted :func:`_zomega` instead.
         if not (type(a) is int and type(b) is int and type(c) is int and type(d) is int):
-            for name, value in (("a", a), ("b", b), ("c", c), ("d", d)):
-                if not isinstance(value, int):
-                    raise TypeError(f"coefficient {name} must be int, got {type(value).__name__}")
+            a = _as_int("coefficient a", a)
+            b = _as_int("coefficient b", b)
+            c = _as_int("coefficient c", c)
+            d = _as_int("coefficient d", d)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
@@ -179,19 +202,19 @@ class ZOmega:
             other = ZOmega.from_int(other)
         if not isinstance(other, ZOmega):
             return NotImplemented
-        return ZOmega(self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d)
+        return _zomega(self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ZOmega":
-        return ZOmega(-self.a, -self.b, -self.c, -self.d)
+        return _zomega(-self.a, -self.b, -self.c, -self.d)
 
     def __sub__(self, other: "ZOmega") -> "ZOmega":
         if isinstance(other, int):
             other = ZOmega.from_int(other)
         if not isinstance(other, ZOmega):
             return NotImplemented
-        return ZOmega(self.a - other.a, self.b - other.b, self.c - other.c, self.d - other.d)
+        return _zomega(self.a - other.a, self.b - other.b, self.c - other.c, self.d - other.d)
 
     def __rsub__(self, other: object) -> "ZOmega":
         if isinstance(other, int):
@@ -199,18 +222,14 @@ class ZOmega:
         return NotImplemented
 
     def __mul__(self, other: "ZOmega") -> "ZOmega":
-        if isinstance(other, int):
-            return ZOmega(self.a * other, self.b * other, self.c * other, self.d * other)
-        if not isinstance(other, ZOmega):
-            return NotImplemented
-        a1, b1, c1, d1 = self.coefficients()
-        a2, b2, c2, d2 = other.coefficients()
-        # Convolution of the omega-power expansions reduced with w^4 = -1.
-        return ZOmega(
-            a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2,
-            b1 * d2 + c1 * c2 + d1 * b2 - a1 * a2,
-            c1 * d2 + d1 * c2 - a1 * b2 - b1 * a2,
-            d1 * d2 - a1 * c2 - b1 * b2 - c1 * a2,
+        if type(other) is not ZOmega:
+            if isinstance(other, int):
+                factor = int(other)
+                return _zomega(self.a * factor, self.b * factor, self.c * factor, self.d * factor)
+            if not isinstance(other, ZOmega):
+                return NotImplemented
+        return _zomega(
+            *mul_coefficients(self.a, self.b, self.c, self.d, other.a, other.b, other.c, other.d)
         )
 
     __rmul__ = __mul__
@@ -233,7 +252,7 @@ class ZOmega:
 
     def conj(self) -> "ZOmega":
         """Complex conjugation: ``w -> w^{-1} = -w^3``."""
-        return ZOmega(-self.c, -self.b, -self.a, self.d)
+        return _zomega(-self.c, -self.b, -self.a, self.d)
 
     def sqrt2_conj(self) -> "ZOmega":
         """The Galois automorphism ``sigma`` with ``sigma(sqrt2) = -sqrt2``.
@@ -243,7 +262,7 @@ class ZOmega:
         composed with conjugation data; what matters here is only that
         ``sigma`` fixes ``Q`` and negates ``sqrt2``).
         """
-        return ZOmega(self.c, -self.b, self.a, self.d)
+        return _zomega(self.c, -self.b, self.a, self.d)
 
     def norm_zsqrt2(self) -> Tuple[int, int]:
         """Return ``(u, v)`` with ``z * conj(z) = u + v*sqrt2``.
@@ -293,12 +312,12 @@ class ZOmega:
         a, b, c, d = self.coefficients()
         # z / sqrt2 = z * sqrt2 / 2; multiplying by sqrt2 maps
         # (a, b, c, d) -> (b - d, c + a, b + d, c - a), then halve.
-        return ZOmega((b - d) // 2, (c + a) // 2, (b + d) // 2, (c - a) // 2)
+        return _zomega((b - d) // 2, (c + a) // 2, (b + d) // 2, (c - a) // 2)
 
     def mul_sqrt2(self) -> "ZOmega":
         """Return ``z * sqrt2`` without constructing a temporary."""
         a, b, c, d = self.coefficients()
-        return ZOmega(b - d, c + a, b + d, c - a)
+        return _zomega(b - d, c + a, b + d, c - a)
 
     def content(self) -> int:
         """The GCD of the absolute coefficient values (0 for zero)."""
@@ -317,8 +336,9 @@ class ZOmega:
             raise ZeroDivisionRingError("division by zero in Z[omega]")
         numerator = self * divisor.conj()
         u, v = divisor.norm_zsqrt2()
-        # 1/(u + v sqrt2) = (u - v sqrt2) / (u^2 - 2 v^2)
-        numerator = numerator * (ZOmega.from_int(u) - ZOmega.sqrt2() * v)
+        # 1/(u + v sqrt2) = (u - v sqrt2) / (u^2 - 2 v^2), and
+        # u - v sqrt2 = v w^3 - v w + u.
+        numerator = numerator * _zomega(v, 0, -v, u)
         denominator = u * u - 2 * v * v
         coeffs = []
         for coefficient in numerator.coefficients():
@@ -326,7 +346,7 @@ class ZOmega:
             if remainder:
                 raise InexactDivisionError(f"{self!r} is not divisible by {divisor!r} in Z[omega]")
             coeffs.append(quotient)
-        return ZOmega(*coeffs)
+        return _zomega(*coeffs)
 
     def divides(self, other: "ZOmega") -> bool:
         """True iff ``self`` divides ``other`` in ``Z[omega]``."""
@@ -361,7 +381,10 @@ class ZOmega:
         Used by the evaluation harness to reproduce the paper's
         observation that GSE blows up the integer sizes (Section V-B).
         """
-        return max(abs(coefficient).bit_length() for coefficient in self.coefficients())
+        # bit_length ignores the sign, so no abs() and no generator.
+        return max(
+            self.a.bit_length(), self.b.bit_length(), self.c.bit_length(), self.d.bit_length()
+        )
 
     def __repr__(self) -> str:
         return f"ZOmega({self.a}, {self.b}, {self.c}, {self.d})"
@@ -380,6 +403,88 @@ class ZOmega:
             return "0"
         text = " + ".join(terms)
         return text.replace("+ -", "- ")
+
+
+def mul_coefficients(
+    a1: int, b1: int, c1: int, d1: int, a2: int, b2: int, c2: int, d2: int
+) -> Coefficients:
+    """The product of two coefficient quadruples: the length-4
+    convolution of the omega-power expansions, reduced with ``w^4 = -1``.
+
+    The kernel behind :meth:`ZOmega.__mul__`; callers that chain products
+    use it directly and build no intermediate elements.
+    """
+    return (
+        a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2,
+        b1 * d2 + c1 * c2 + d1 * b2 - a1 * a2,
+        c1 * d2 + d1 * c2 - a1 * b2 - b1 * a2,
+        d1 * d2 - a1 * c2 - b1 * b2 - c1 * a2,
+    )
+
+
+def adjugate_coefficients(a: int, b: int, c: int, d: int, u: int, v: int) -> Coefficients:
+    """``conj(z) * (u - v*sqrt2)`` for ``z = (a, b, c, d)`` with relative
+    norm ``z * conj(z) = u + v*sqrt2``.
+
+    ``z`` times this is the rational integer ``u^2 - 2 v^2``, so it is
+    the numerator of every ``1 / z``: the field inverse, the Euclidean
+    quotient and the ``D[omega]`` unit inverse.  Eight products instead
+    of the sixteen of a general multiplication by ``v w^3 - v w + u``.
+    """
+    return (
+        (b + d) * v - c * u,
+        (a + c) * v - b * u,
+        (b - d) * v - a * u,
+        d * u + (a - c) * v,
+    )
+
+
+def strip_sqrt2(a: int, b: int, c: int, d: int) -> Tuple[int, int, int, int, int]:
+    """Algorithm 1 on a non-zero quadruple: divide by sqrt2 while the
+    parity criterion ``a = c, b = d (mod 2)`` holds.
+
+    Returns the quotient and the number of sqrt2 factors removed.
+    """
+    removed = 0
+    while (a & 1) == (c & 1) and (b & 1) == (d & 1):
+        a, b, c, d = (b - d) >> 1, (c + a) >> 1, (b + d) >> 1, (c - a) >> 1
+        removed += 1
+    return (a, b, c, d, removed)
+
+
+def scale_coefficients(a: int, b: int, c: int, d: int, power: int) -> Coefficients:
+    """Multiply a quadruple by ``sqrt2**power`` (``power >= 0``)."""
+    if power >= 2:
+        factor = 1 << (power >> 1)
+        a, b, c, d = a * factor, b * factor, c * factor, d * factor
+    if power & 1:
+        a, b, c, d = b - d, c + a, b + d, c - a
+    return (a, b, c, d)
+
+
+_new_object: Any = object.__new__
+# The slot descriptors' setters bypass the immutability guard of
+# ``ZOmega.__setattr__``, exactly like ``object.__setattr__`` in the
+# public constructor, but without the per-call attribute-name lookup.
+_set_a: Any = getattr(ZOmega, "a").__set__
+_set_b: Any = getattr(ZOmega, "b").__set__
+_set_c: Any = getattr(ZOmega, "c").__set__
+_set_d: Any = getattr(ZOmega, "d").__set__
+
+
+def _zomega(a: int, b: int, c: int, d: int) -> ZOmega:
+    """The trusted internal constructor: no validation.
+
+    For ring arithmetic only, whose results are plain ``int`` by
+    construction; everything arriving from outside the ring layer goes
+    through the validating :class:`ZOmega` constructor.
+    """
+    element: ZOmega = _new_object(ZOmega)
+    _set_a(element, a)
+    _set_b(element, b)
+    _set_c(element, c)
+    _set_d(element, d)
+    return element
 
 
 _ZERO = ZOmega(0, 0, 0, 0)

@@ -1,5 +1,7 @@
 """Tests for lossless DD serialisation."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,41 @@ class TestValidation:
         manager = algebraic_manager(2)
         with pytest.raises(DDError):
             loads(manager, '{"format": 99}')
+
+    @pytest.mark.parametrize(
+        "factory, weight",
+        [
+            (algebraic_gcd_manager, [True, 0, 0, 0, 0]),
+            (algebraic_gcd_manager, [1, 0, 0, 0, False]),
+            (algebraic_manager, [1, 0, 0, 0, 0, True]),
+        ],
+    )
+    def test_bool_weight_rejected(self, factory, weight):
+        # JSON true would load as the coefficient 1 and re-dump as true:
+        # equal values with different payload bytes.
+        manager = factory(1)
+        document = json.loads(dumps(manager, manager.basis_state(0)))
+        document["root"]["weight"] = weight
+        with pytest.raises(DDError):
+            loads(manager, json.dumps(document))
+
+    @pytest.mark.parametrize(
+        "factory, weight",
+        [
+            (algebraic_gcd_manager, ["x", 0, 0, 0, 0]),
+            (algebraic_gcd_manager, [1.0, 0, 0, 0, 0]),
+            (algebraic_gcd_manager, [1, 0, 0]),
+            (algebraic_gcd_manager, 1),
+            (algebraic_manager, [1, 0, 0, 0, 0]),
+            (algebraic_manager, [1, 0, 0, 0, 0, 0]),
+        ],
+    )
+    def test_malformed_weight_raises_dd_error(self, factory, weight):
+        manager = factory(1)
+        document = json.loads(dumps(manager, manager.basis_state(0)))
+        document["nodes"][0]["children"][0]["weight"] = weight
+        with pytest.raises(DDError):
+            loads(manager, json.dumps(document))
 
     def test_huge_coefficients_survive(self):
         """GSE-scale bit-widths (hundreds of bits) serialise exactly --

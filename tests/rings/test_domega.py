@@ -224,3 +224,15 @@ class TestMetrics:
     def test_hash_equal_for_equal(self, x):
         clone = DOmega(x.zeta, x.k)
         assert hash(clone) == hash(x)
+
+
+class TestIntSubclassCoercion:
+    def test_bool_exponent_becomes_int(self):
+        value = DOmega(ZOmega(0, 0, 1, 0), True)
+        assert value.key() == (0, 0, 1, 0, 1)
+        assert all(type(entry) is int for entry in value.key())
+        assert repr(value) == "DOmega.from_coefficients(0, 0, 1, 0, k=1)"
+
+    def test_non_int_exponent_rejected(self):
+        with pytest.raises(TypeError):
+            DOmega(ZOmega.one(), 1.0)

@@ -158,3 +158,15 @@ class TestDisplay:
     def test_str_contains_denominator(self):
         text = str(QOmega(ZOmega.one(), 1, 3))
         assert "sqrt2^1" in text and "3" in text
+
+
+class TestIntSubclassCoercion:
+    def test_bool_exponent_and_denominator_become_int(self):
+        value = QOmega(ZOmega(0, 0, 1, 0), True, True)
+        assert value.key() == (0, 0, 1, 0, 1, 1)
+        assert all(type(entry) is int for entry in value.key())
+        assert repr(value) == "QOmega(ZOmega(0, 0, 1, 0), k=1, e=1)"
+
+    def test_non_int_denominator_rejected(self):
+        with pytest.raises(TypeError):
+            QOmega(ZOmega.one(), 0, 3.0)

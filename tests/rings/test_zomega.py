@@ -257,3 +257,26 @@ class TestMisc:
     @given(zomegas)
     def test_iteration_yields_coefficients(self, x):
         assert tuple(x) == x.coefficients()
+
+
+class TestIntSubclassCoercion:
+    """Equal values share one representation: ``bool`` and other ``int``
+    subclasses are stored as plain ``int`` at the public constructor."""
+
+    def test_bool_coefficients_become_int(self):
+        z = ZOmega(True, False, 0, -1)
+        assert all(type(coefficient) is int for coefficient in z.coefficients())
+        assert repr(z) == "ZOmega(1, 0, 0, -1)"
+        assert z == ZOmega(1, 0, 0, -1)
+
+    def test_int_subclass_coefficients_become_int(self):
+        class Tagged(int):
+            pass
+
+        z = ZOmega(Tagged(3), 0, 0, 0)
+        assert type(z.a) is int
+        assert type((z * Tagged(2)).a) is int
+
+    def test_non_int_still_rejected(self):
+        with pytest.raises(TypeError):
+            ZOmega(1.0, 0, 0, 0)
