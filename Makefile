@@ -41,8 +41,9 @@ sanitize-smoke:
 	    --qubits 5 --system numeric --eps 1e-12 --mode check-every-op
 
 # End-to-end garbage-collection run under a tight node budget, with
-# the sanitizer's refcount audit on the final state.  Exits non-zero on
-# a MemoryBudgetExceeded or any refcount/invariant violation.
+# the sanitizer on the final state (its root audit checks that every
+# registered root and pin survived).  Exits non-zero on a
+# MemoryBudgetExceeded or any root/invariant violation.
 gc-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.cli gc --algorithm grover \
 	    --qubits 8 --system algebraic-gcd --threshold 256 \

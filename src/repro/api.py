@@ -46,6 +46,7 @@ options only as ``config=``.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
@@ -118,9 +119,9 @@ class SimulatorConfig:
     sanitize:
         DD-invariant sanitizer mode (see :mod:`repro.dd.sanitizer`).
     gc:
-        Garbage-collection node threshold; ``None`` keeps automatic
-        collection off.  ``gc_min_yield`` tunes the grow-on-low-yield
-        heuristic.
+        Garbage-collection node threshold (a positive ``int``); ``None``
+        keeps automatic collection off.  ``gc_min_yield`` (in [0, 1])
+        tunes the grow-on-low-yield heuristic.
     max_nodes / max_bytes:
         Optional hard :class:`~repro.dd.mem.MemoryBudget`; a run whose
         live state cannot fit raises
@@ -162,14 +163,16 @@ class SimulatorConfig:
             raise ConfigError(
                 f"unknown precision {self.precision!r}; choose from {_PRECISIONS}"
             )
-        if self.eps < 0.0:
-            raise ConfigError("eps must be non-negative")
-        if self.gc is not None and self.gc < 1:
-            raise ConfigError("gc threshold must be a positive node count")
-        for name in ("max_nodes", "max_bytes"):
+        if not (math.isfinite(self.eps) and self.eps >= 0.0):
+            raise ConfigError(f"eps must be finite and non-negative, got {self.eps!r}")
+        for name in ("gc", "max_nodes", "max_bytes"):
             value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ConfigError(f"{name} must be positive when set")
+            if value is not None and (
+                isinstance(value, bool) or not isinstance(value, int) or value < 1
+            ):
+                raise ConfigError(f"{name} must be a positive int when set, got {value!r}")
+        if not 0.0 <= self.gc_min_yield <= 1.0:
+            raise ConfigError(f"gc_min_yield must be in [0, 1], got {self.gc_min_yield!r}")
 
     # -- derived descriptions -------------------------------------------
 
@@ -451,9 +454,8 @@ def run_with(
         # the caller (when GC is active); the state has been serialized
         # into the result, so a caller that only wants the payload hands
         # the root back here instead of leaking one per request.
-        memory = manager.memory
-        if memory.config.enabled or memory.config.budget is not None:
-            memory.dec_ref(outcome.state)
+        if manager.memory.active:
+            manager.memory.dec_ref(outcome.state)
     return result
 
 

@@ -27,8 +27,9 @@ Subcommands mirror the evaluation workflow:
 
 ``repro-qmdd gc --algorithm grover --qubits 8 --threshold 256 --audit``
     Simulate with the mark-and-sweep garbage collector enabled, print
-    the collection statistics, and (with ``--audit``) cross-check the
-    incremental refcounts against a structural recount.  ``--max-nodes``
+    the collection statistics, and (with ``--audit``) run the sanitizer
+    on the final state, including the check that every registered root
+    and pin is still resident (exits 1 on a violation).  ``--max-nodes``
     / ``--max-bytes`` turn the run into a budget check that exits 2 on
     :class:`~repro.errors.MemoryBudgetExceeded`.
 
@@ -785,7 +786,7 @@ def main(argv: Optional[list] = None) -> int:
     gc.add_argument(
         "--audit",
         action="store_true",
-        help="run the sanitizer (incl. the refcount audit) on the final state",
+        help="run the sanitizer (incl. the root/pin residency audit) on the final state",
     )
     gc.set_defaults(func=_cmd_gc)
 

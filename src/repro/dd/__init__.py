@@ -18,7 +18,7 @@ Public surface:
   the canonical-form invariants;
 * :class:`~repro.dd.mem.MemoryManager` (every manager owns one as
   ``manager.memory``) with :class:`~repro.dd.mem.MemoryConfig` /
-  :class:`~repro.dd.mem.MemoryBudget` for refcounted roots,
+  :class:`~repro.dd.mem.MemoryBudget` for registered roots,
   mark-and-sweep garbage collection and hard memory budgets.
 """
 

@@ -32,7 +32,6 @@ from typing import Any, Iterator, Tuple
 __all__ = [
     "Edge",
     "Node",
-    "REF_SATURATION",
     "TERMINAL",
     "VECTOR_ARITY",
     "MATRIX_ARITY",
@@ -40,15 +39,6 @@ __all__ = [
 
 VECTOR_ARITY = 2
 MATRIX_ARITY = 4
-
-#: Reference counts saturate at this value and are never decremented
-#: past it again: a node shared this widely (the terminal, and the
-#: terminal-adjacent "unit" nodes of deep circuits) is effectively
-#: immortal, and pinning it is cheaper and safer than tracking exact
-#: in-degrees that would overflow a small counter.  Saturated nodes can
-#: still be reclaimed by the mark-and-sweep collector, which derives
-#: liveness from root reachability rather than from the counts.
-REF_SATURATION = 0xFFFF
 
 
 class Node:
@@ -63,20 +53,17 @@ class Node:
         ``1..n`` for inner nodes; the terminal has level ``0``.
     edges:
         Outgoing :class:`Edge` tuple of length 2 (vector) or 4 (matrix).
-    ref:
-        Structural in-degree maintained by the unique table (one count
-        per parent edge slot) plus one count per externally registered
-        root (see :class:`repro.dd.mem.MemoryManager`).  Saturates at
-        :data:`REF_SATURATION`.
+
+    Nodes carry no liveness state: the garbage collector derives it
+    from reachability (see :class:`repro.dd.mem.MemoryManager`).
     """
 
-    __slots__ = ("uid", "level", "edges", "ref")
+    __slots__ = ("uid", "level", "edges")
 
     def __init__(self, uid: int, level: int, edges: Tuple["Edge", ...]) -> None:
         self.uid = uid
         self.level = level
         self.edges = edges
-        self.ref = 0
 
     @property
     def is_terminal(self) -> bool:
@@ -93,10 +80,9 @@ class Node:
 
 
 #: The unique terminal node (represents the scalar 1; weights on the
-#: incoming edges supply the actual values).  Its refcount is born
-#: saturated: the terminal is shared by every DD and never reclaimed.
+#: incoming edges supply the actual values).  It lives in no unique
+#: table, so the collector never sweeps it.
 TERMINAL = Node(uid=0, level=0, edges=())
-TERMINAL.ref = REF_SATURATION
 
 
 class Edge:

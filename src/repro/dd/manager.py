@@ -35,7 +35,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.dd.edge import MATRIX_ARITY, TERMINAL, VECTOR_ARITY, Edge, Node, iter_nodes
-from repro.dd.mem import GcStats, MemoryBudget, MemoryConfig, MemoryManager
+from repro.dd.mem import MemoryConfig, MemoryManager
 from repro.dd.number_system import (
     AlgebraicGcdSystem,
     AlgebraicQOmegaSystem,
@@ -88,15 +88,12 @@ class DDManager:
     ``Telemetry.tracing()`` to record spans.  A telemetry scope must
     not be shared between managers -- instrument names would collide.
 
-    ``memory`` configures the garbage collector (see
-    :mod:`repro.dd.mem`): ``None`` keeps automatic collection off (the
-    seed behaviour), ``True`` enables the default policy, an ``int``
-    sets the node threshold, and a
-    :class:`~repro.dd.mem.MemoryBudget` /
-    :class:`~repro.dd.mem.MemoryConfig` gives full control.  The
+    ``memory`` is the garbage collector's
+    :class:`~repro.dd.mem.MemoryConfig` (see :mod:`repro.dd.mem`);
+    ``None`` keeps automatic collection off (the seed behaviour).  The
     :class:`~repro.dd.mem.MemoryManager` is always created (as
-    ``manager.memory``) so explicit ``collect``/``prune`` and the
-    refcount audit work regardless.
+    ``manager.memory``) so explicit ``collect``/``prune`` and the root
+    audit work regardless.
     """
 
     def __init__(
@@ -104,7 +101,7 @@ class DDManager:
         system: NumberSystem,
         num_qubits: int,
         telemetry: Optional[Telemetry] = None,
-        memory: "MemoryConfig | MemoryBudget | bool | int | None" = None,
+        memory: Optional[MemoryConfig] = None,
     ) -> None:
         if num_qubits < 1:
             raise ValueError("num_qubits must be positive")
@@ -144,8 +141,7 @@ class DDManager:
         # Edges are immutable in practice; sharing one zero edge avoids
         # an allocation on every zero child in the hot path.
         self._zero_edge = Edge(TERMINAL, self.system.zero)
-        # Last: the memory manager registers its own collector and
-        # installs the unique tables' invalidation hooks.
+        # Last: the memory manager registers its own metrics collector.
         self.memory = MemoryManager(self, memory)
 
     @property
@@ -884,10 +880,6 @@ class DDManager:
             "matrix_dropped": stats.swept_matrix,
         }
 
-    def collect_garbage(self, roots: Sequence[Edge] = ()) -> "GcStats":
-        """Explicit full GC pass (see :meth:`repro.dd.mem.MemoryManager.collect`)."""
-        return self.memory.collect(extra_roots=roots, trigger="explicit")
-
     def sanitize(
         self, edge: Edge, *, raise_on_violation: bool = True, **options: Any
     ) -> Any:
@@ -975,7 +967,7 @@ def numeric_manager(
     normalization: str = "leftmost",
     precision: str = "double",
     telemetry: Optional[Telemetry] = None,
-    memory: "MemoryConfig | MemoryBudget | bool | int | None" = None,
+    memory: Optional[MemoryConfig] = None,
 ) -> DDManager:
     """A manager using the state-of-the-art numerical representation.
 
@@ -994,7 +986,7 @@ def numeric_manager(
 def algebraic_manager(
     num_qubits: int,
     telemetry: Optional[Telemetry] = None,
-    memory: "MemoryConfig | MemoryBudget | bool | int | None" = None,
+    memory: Optional[MemoryConfig] = None,
 ) -> DDManager:
     """A manager using the paper's Q[omega] scheme (Algorithm 2)."""
     return DDManager(
@@ -1005,7 +997,7 @@ def algebraic_manager(
 def algebraic_gcd_manager(
     num_qubits: int,
     telemetry: Optional[Telemetry] = None,
-    memory: "MemoryConfig | MemoryBudget | bool | int | None" = None,
+    memory: Optional[MemoryConfig] = None,
 ) -> DDManager:
     """A manager using the paper's D[omega] GCD scheme (Algorithm 3)."""
     return DDManager(

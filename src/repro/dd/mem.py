@@ -5,22 +5,20 @@ accumulates the interned remains of every intermediate state and the
 engine's footprint is bounded by *history*, not by the live DD size.
 This module converts the engine to steady-state memory:
 
-* **Reference counts.**  Every :class:`~repro.dd.edge.Node` carries a
-  ``ref`` slot maintained by the unique table: one count per parent
-  edge slot (incremented when a parent node is interned, decremented
-  when the parent is swept) plus one count per externally registered
-  root.  Counts saturate at :data:`~repro.dd.edge.REF_SATURATION` --
-  widely shared terminal-adjacent nodes stop counting and are treated
-  as immortal by the *counters*, never by the collector.
+* **One liveness record.**  External owners register the edges they
+  hold with :meth:`MemoryManager.inc_ref` / :meth:`~MemoryManager.dec_ref`
+  (registration nests) or protect them for good with
+  :meth:`~MemoryManager.pin`.  Nodes themselves carry no counts: a
+  node is live exactly when it is reachable from a registered root, a
+  pin, or an extra root handed to one collection.
 
 * **Mark and sweep.**  :meth:`MemoryManager.collect` walks the
   registered roots and pins, marks the reachable closure, sweeps
-  unmarked nodes out of both unique tables (maintaining child
-  refcounts), invalidates every operation compute table and the
+  unmarked nodes out of both unique tables (the only way a node ever
+  leaves one), invalidates every operation compute table and the
   algebraic weight-arithmetic memos (their entries may reference swept
   nodes or swept weights), and finally garbage-collects the weight
-  interning tables themselves.  Liveness comes from reachability, so
-  refcount saturation can never leak nodes.
+  interning tables themselves.
 
 * **Weight GC without id reuse.**  Swept weight-table slots are
   *tombstoned*, never reused: unique- and compute-table keys embed
@@ -32,18 +30,18 @@ This module converts the engine to steady-state memory:
 
 * **Trigger policy.**  :meth:`MemoryManager.maybe_collect` runs the
   collector when the resident node count crosses a threshold; a
-  collection that frees less than ``min_yield`` of the table grows the
-  threshold (the classic grow-on-low-yield heuristic -- if everything
-  is live, collecting more often only burns time).  An optional
-  :class:`MemoryBudget` turns the soft policy into a hard limit:
+  collection that frees less than ``min_yield`` of the table doubles
+  the threshold (the classic grow-on-low-yield heuristic -- if
+  everything is live, collecting more often only burns time).  An
+  optional :class:`MemoryBudget` turns the soft policy into a hard limit:
   exceeding it triggers a collection, and if the *live* state still
   does not fit, a typed :class:`~repro.errors.MemoryBudgetExceeded`
   is raised instead of thrashing.
 
 Observability: collections run under a ``dd.gc`` span and feed the
 ``dd.gc.*`` instruments (see ``docs/OBSERVABILITY.md``).  The sanitizer
-audits the stored refcounts against a full reachability recount via
-:meth:`MemoryManager.audit`.
+checks via :meth:`MemoryManager.audit` that every registered root and
+pin is still resident.
 """
 
 from __future__ import annotations
@@ -60,10 +58,9 @@ from typing import (
     Optional,
     Set,
     Tuple,
-    Union,
 )
 
-from repro.dd.edge import REF_SATURATION, Edge, Node
+from repro.dd.edge import Edge, Node
 from repro.errors import DDError, MemoryBudgetExceeded
 
 if TYPE_CHECKING:
@@ -91,6 +88,10 @@ GC_SECONDS_BUCKETS: Tuple[float, ...] = (
 _NODE_BYTES = 160
 _EDGE_BYTES = 56
 _WEIGHT_BYTES = 120
+
+#: A threshold-triggered collection that frees less than ``min_yield``
+#: of the table multiplies the threshold by this factor.
+_GROWTH_FACTOR = 2.0
 
 
 class MemoryBudget:
@@ -134,75 +135,42 @@ class MemoryConfig:
     threshold:
         Resident node count (both unique tables) above which
         ``maybe_collect`` runs the collector.
-    growth_factor / min_yield / max_threshold:
+    min_yield:
         Grow-on-low-yield heuristic: when a threshold-triggered
         collection frees less than ``min_yield`` of the table, the
-        threshold is multiplied by ``growth_factor`` (clamped to
-        ``max_threshold``) -- mostly-live tables should be collected
+        threshold doubles -- mostly-live tables should be collected
         less often, not thrashed.
-    sweep_weights:
-        Whether collections also GC the weight tables (tombstoning;
-        see the module docstring).  On by default.
     budget:
         Optional hard :class:`MemoryBudget` enforced after the soft
         policy.
     """
 
-    __slots__ = (
-        "enabled",
-        "threshold",
-        "growth_factor",
-        "min_yield",
-        "max_threshold",
-        "sweep_weights",
-        "budget",
-    )
+    __slots__ = ("enabled", "threshold", "min_yield", "budget")
 
     def __init__(
         self,
         enabled: bool = True,
         threshold: int = 100_000,
-        growth_factor: float = 2.0,
         min_yield: float = 0.25,
-        max_threshold: Optional[int] = None,
-        sweep_weights: bool = True,
         budget: Optional[MemoryBudget] = None,
     ) -> None:
         if threshold < 1:
             raise ValueError("gc threshold must be positive")
-        if growth_factor < 1.0:
-            raise ValueError("gc growth_factor must be >= 1")
         if not 0.0 <= min_yield <= 1.0:
             raise ValueError("gc min_yield must be in [0, 1]")
         self.enabled = enabled
         self.threshold = threshold
-        self.growth_factor = growth_factor
         self.min_yield = min_yield
-        self.max_threshold = max_threshold
-        self.sweep_weights = sweep_weights
         self.budget = budget
 
-    @classmethod
-    def coerce(
-        cls, value: Union["MemoryConfig", MemoryBudget, bool, int, None]
-    ) -> "MemoryConfig":
-        """Normalise the ``gc=`` / ``memory=`` option shorthands.
 
-        ``None``/``False`` -> disabled, ``True`` -> defaults, an int ->
-        enabled with that node threshold, a :class:`MemoryBudget` ->
-        enabled with that budget, a :class:`MemoryConfig` -> itself.
-        """
-        if value is None or value is False:
-            return cls(enabled=False)
-        if value is True:
-            return cls()
-        if isinstance(value, MemoryConfig):
-            return value
-        if isinstance(value, MemoryBudget):
-            return cls(budget=value)
-        if isinstance(value, int):
-            return cls(threshold=value)
-        raise TypeError(f"cannot build a MemoryConfig from {value!r}")
+def _config_or_off(config: Optional[MemoryConfig]) -> MemoryConfig:
+    """``config`` itself, or a disabled policy for ``None``."""
+    if config is None:
+        return MemoryConfig(enabled=False)
+    if not isinstance(config, MemoryConfig):
+        raise TypeError(f"memory takes a MemoryConfig or None, not {config!r}")
+    return config
 
 
 class GcStats:
@@ -268,28 +236,25 @@ class MemoryManager:
     """Root registry, mark-and-sweep collector and trigger policy.
 
     One instance per :class:`~repro.dd.manager.DDManager` (created by
-    the manager itself; reach it as ``manager.memory``).  The manager
-    also installs this object's consolidated invalidation as the
-    unique tables' pruning hook, so legacy ``retain``/``clear`` calls
-    can no longer leave compute tables or weight memos referencing
-    swept nodes.
+    the manager itself; reach it as ``manager.memory``).  ``config`` is
+    the trigger policy; ``None`` keeps automatic collection off.
     """
 
     def __init__(
-        self,
-        manager: "DDManager",
-        config: Union[MemoryConfig, MemoryBudget, bool, int, None] = None,
+        self, manager: "DDManager", config: Optional[MemoryConfig] = None
     ) -> None:
         self.manager = manager
-        self.config = MemoryConfig.coerce(config)
-        self._roots: Dict[int, _RootEntry] = {}
-        self._pins: Dict[int, Edge] = {}
+        self.config = _config_or_off(config)
+        # Keyed by (node uid, root-edge weight key): two edges into one
+        # node with different weights are different roots, and marking
+        # must keep both weights alive.
+        self._roots: Dict[Tuple[int, Any], _RootEntry] = {}
+        self._pins: Dict[Tuple[int, Any], Edge] = {}
         self._threshold = self.config.threshold
         self.collections = 0
         self.swept_nodes_total = 0
         self.swept_weights_total = 0
         self.peak_nodes = 0
-        self.last_stats: Optional[GcStats] = None
         registry = manager.telemetry.metrics
         self._collections_counter = registry.counter("dd.gc.collections")
         self._swept_nodes_counter = registry.counter("dd.gc.swept_nodes")
@@ -300,57 +265,62 @@ class MemoryManager:
         self._seconds_histogram = registry.histogram("dd.gc.seconds", GC_SECONDS_BUCKETS)
         self._threshold_gauge.set(self._threshold)
         registry.register_collector(self._collect_metrics)
-        manager._vector_table.set_invalidation_hook(self.invalidate_derived_state)
-        manager._matrix_table.set_invalidation_hook(self.invalidate_derived_state)
 
     # -- configuration ---------------------------------------------------
 
-    def configure(
-        self, config: Union[MemoryConfig, MemoryBudget, bool, int, None]
-    ) -> None:
+    def configure(self, config: Optional[MemoryConfig]) -> None:
         """Replace the trigger policy (``SimulatorConfig`` GC wiring)."""
-        self.config = MemoryConfig.coerce(config)
+        self.config = _config_or_off(config)
         self._threshold = self.config.threshold
         self._threshold_gauge.set(self._threshold)
 
+    @property
+    def active(self) -> bool:
+        """Whether :meth:`maybe_collect` can collect or enforce a budget.
+
+        Callers that keep roots registered only for the collector's
+        sake (the simulator's evolving state, the service between jobs)
+        read this at each use, so a later :meth:`configure` takes effect.
+        """
+        config = self.config
+        return config.enabled or config.budget is not None
+
     # -- root registry ---------------------------------------------------
 
+    def _root_key(self, edge: Edge) -> Tuple[int, Any]:
+        return edge.node.uid, self.manager.system.key(edge.weight)
+
     def inc_ref(self, edge: Edge) -> None:
-        """Register ``edge`` as an external root (refcount +1).
+        """Register ``edge`` as an external root.
 
         Registered roots survive every collection.  Registration
         nests: ``inc_ref`` twice needs ``dec_ref`` twice.  Terminal
         edges need no protection and are ignored.
         """
-        node = edge.node
-        if node.is_terminal:
+        if edge.node.is_terminal:
             return
-        entry = self._roots.get(node.uid)
+        root = self._root_key(edge)
+        entry = self._roots.get(root)
         if entry is None:
-            self._roots[node.uid] = _RootEntry(edge, 1)
+            self._roots[root] = _RootEntry(edge, 1)
         else:
             entry.count += 1
-        count = node.ref
-        if count < REF_SATURATION:
-            node.ref = count + 1
 
     def dec_ref(self, edge: Edge) -> None:
-        """Drop one root registration of ``edge`` (refcount -1)."""
-        node = edge.node
-        if node.is_terminal:
+        """Drop one root registration of ``edge``; raises
+        :class:`~repro.errors.DDError` when none is outstanding."""
+        if edge.node.is_terminal:
             return
-        entry = self._roots.get(node.uid)
+        root = self._root_key(edge)
+        entry = self._roots.get(root)
         if entry is None:
             raise DDError(
-                f"dec_ref on unregistered root (node uid {node.uid}); "
+                f"dec_ref on unregistered root (node uid {root[0]}); "
                 "inc_ref/dec_ref must be balanced"
             )
         entry.count -= 1
         if entry.count == 0:
-            del self._roots[node.uid]
-        count = node.ref
-        if 0 < count < REF_SATURATION:
-            node.ref = count - 1
+            del self._roots[root]
 
     @contextmanager
     def protecting(self, edge: Edge) -> Iterator[Edge]:
@@ -372,13 +342,11 @@ class MemoryManager:
 
         For long-lived derived structure whose owner has no natural
         release point -- cached gate DDs, the apply kernels' lazily
-        built matrix fallbacks.  Pins mark reachability but do not
-        touch refcounts; the sanitizer audit accounts for them
-        separately.
+        built matrix fallbacks.  Pins are kept apart from the nested
+        registrations: :meth:`dec_ref` never releases one.
         """
-        node = edge.node
-        if not node.is_terminal:
-            self._pins.setdefault(node.uid, edge)
+        if not edge.node.is_terminal:
+            self._pins.setdefault(self._root_key(edge), edge)
 
     def roots(self) -> List[Edge]:
         """All currently registered root edges (pins included)."""
@@ -416,9 +384,8 @@ class MemoryManager:
 
         Clears (and generation-stamps) the manager's five operation
         compute tables and the number system's weight-arithmetic memos.
-        Installed as the unique tables' pruning hook and called by the
-        collector after sweeping.  Returns the number of entries
-        dropped.
+        Called by the collector after sweeping.  Returns the number of
+        entries dropped.
         """
         manager = self.manager
         dropped = 0
@@ -434,10 +401,10 @@ class MemoryManager:
 
         Order matters and is part of the contract (see
         ``docs/ALGORITHMS.md``): mark from roots/pins/``extra_roots``,
-        sweep both unique tables (child refcounts decremented), then
-        invalidate all derived memo state, then sweep the weight
-        tables against the live weight-key set collected during
-        marking.
+        sweep both unique tables, then invalidate all derived memo
+        state, then sweep the weight tables against the live weight-key
+        set collected during marking (the tolerant numeric table
+        declines; see the module docstring).
         """
         manager = self.manager
         started = time.perf_counter()
@@ -447,9 +414,7 @@ class MemoryManager:
             swept_vector = manager._vector_table.sweep(marked)
             swept_matrix = manager._matrix_table.sweep(marked)
             invalidated = self.invalidate_derived_state()
-            swept_weights = 0
-            if self.config.sweep_weights:
-                swept_weights = manager.system.sweep_weights(live_weight_keys)
+            swept_weights = manager.system.sweep_weights(live_weight_keys)
         seconds = time.perf_counter() - started
         after = self.node_count
         self.collections += 1
@@ -459,7 +424,7 @@ class MemoryManager:
         self._swept_nodes_counter.inc(swept_vector + swept_matrix)
         self._swept_weights_counter.inc(swept_weights)
         self._seconds_histogram.observe(seconds)
-        stats = GcStats(
+        return GcStats(
             trigger=trigger,
             before_nodes=before,
             after_nodes=after,
@@ -470,8 +435,6 @@ class MemoryManager:
             seconds=seconds,
             threshold_after=self._threshold,
         )
-        self.last_stats = stats
-        return stats
 
     def _mark(
         self, extra_roots: Iterable[Edge]
@@ -533,15 +496,13 @@ class MemoryManager:
         if config.enabled and nodes >= self._threshold:
             stats = self.collect(trigger="threshold")
             if stats.swept_nodes < config.min_yield * max(1, stats.before_nodes):
-                grown = int(self._threshold * config.growth_factor)
-                if config.max_threshold is not None:
-                    grown = min(grown, config.max_threshold)
+                grown = int(self._threshold * _GROWTH_FACTOR)
         if config.budget is not None:
             stats = self._enforce_budget(stats)
         # The threshold grows only after the budget check has passed: a
         # raised MemoryBudgetExceeded must not strand a larger trigger
         # point that would delay every subsequent collection.
-        if grown is not None and grown > self._threshold:
+        if grown is not None:
             self._threshold = grown
             self._threshold_gauge.set(grown)
         return stats
@@ -578,73 +539,43 @@ class MemoryManager:
     # -- audit (sanitizer hook) ------------------------------------------
 
     def audit(self) -> List["SanitizerViolation"]:
-        """Check stored refcounts against a full reachability recount.
+        """Check that every registered root and pin is still resident.
 
-        For every resident node the expected count is its structural
-        in-degree over both unique tables (one per parent edge slot)
-        plus its root-registration count; saturated counters are exempt
-        (saturation is a deliberate loss of precision).  Registered
-        roots and pins must still be resident.  Returns the violations
-        (code ``refcount``) instead of raising, so the sanitizer can
-        merge them into its report.
+        A violation means a sweep removed a node some owner still
+        holds -- the collector's one liveness rule was broken.  Returns
+        the violations (code ``refcount``) instead of raising, so the
+        sanitizer can merge them into its report.
         """
         from repro.dd.sanitizer import SanitizerViolation
 
         manager = self.manager
-        expected: Dict[int, int] = {}
-        resident: Dict[int, Node] = {}
-        for table in (manager._vector_table, manager._matrix_table):
-            for node in table.nodes():
-                resident[node.uid] = node
-                for child in node.edges:
-                    child_node = child.node
-                    if not child_node.is_terminal:
-                        expected[child_node.uid] = expected.get(child_node.uid, 0) + 1
-        for uid, entry in self._roots.items():
-            expected[uid] = expected.get(uid, 0) + entry.count
+        resident = {
+            node.uid
+            for table in (manager._vector_table, manager._matrix_table)
+            for node in table.nodes()
+        }
         violations: List[SanitizerViolation] = []
-        for uid, node in resident.items():
-            stored = node.ref
-            if stored >= REF_SATURATION:
-                continue
-            wanted = expected.get(uid, 0)
-            if stored != wanted:
-                violations.append(
-                    SanitizerViolation(
-                        "refcount",
-                        f"stored refcount {stored} != reachability recount {wanted}",
-                        None,
-                        uid,
-                    )
-                )
-        for uid in self._roots:
-            if uid not in resident:
-                violations.append(
-                    SanitizerViolation(
-                        "refcount",
-                        "registered root is no longer resident in any unique table",
-                        None,
-                        uid,
-                    )
-                )
-        for uid in self._pins:
-            if uid not in resident:
-                violations.append(
-                    SanitizerViolation(
-                        "refcount",
-                        "pinned edge was swept from the unique tables",
-                        None,
-                        uid,
-                    )
-                )
+        for roots, message in (
+            (self._roots, "registered root is no longer resident in any unique table"),
+            (self._pins, "pinned edge was swept from the unique tables"),
+        ):
+            violations.extend(
+                SanitizerViolation("refcount", message, None, uid)
+                for uid in sorted({uid for uid, _ in roots})
+                if uid not in resident
+            )
         return violations
 
     # -- observability ---------------------------------------------------
 
+    def _registered_nodes(self) -> int:
+        """Distinct nodes with outstanding registrations."""
+        return len({uid for uid, _ in self._roots})
+
     def _collect_metrics(self) -> Dict[str, float]:
         return {
             "dd.gc.resident_nodes": float(self.node_count),
-            "dd.gc.registered_roots": float(len(self._roots)),
+            "dd.gc.registered_roots": float(self._registered_nodes()),
             "dd.gc.pinned_roots": float(len(self._pins)),
         }
 
@@ -658,6 +589,6 @@ class MemoryManager:
             "threshold": self._threshold,
             "resident_nodes": self.node_count,
             "peak_resident_nodes": self.peak_nodes,
-            "registered_roots": len(self._roots),
+            "registered_roots": self._registered_nodes(),
             "pinned_roots": len(self._pins),
         }

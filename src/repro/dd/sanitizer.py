@@ -432,25 +432,22 @@ class Sanitizer:
         return report
 
     # ------------------------------------------------------------------
-    # Refcount audit (delegated to the memory manager)
+    # Root audit (delegated to the memory manager)
     # ------------------------------------------------------------------
 
     def _check_refcounts(self) -> SanitizerReport:
-        """Cross-check stored refcounts against a structural recount.
+        """Check that every registered root and pin is still resident.
 
-        Delegates to :meth:`repro.dd.mem.MemoryManager.audit`, which
-        recomputes every resident node's expected in-degree (child-edge
-        slots plus registered roots) and compares it with the ``ref``
-        slot maintained incrementally by the unique tables.  A mismatch
-        is the GC analogue of a stale memo: the counters are advisory
-        for mark-and-sweep, but a drifting counter means create/sweep
-        bookkeeping has diverged from the actual DAG shape.
+        Delegates to :meth:`repro.dd.mem.MemoryManager.audit`.  A
+        missing root is the GC analogue of a stale memo: a sweep took a
+        node that an owner still holds.  ``refcounts_checked`` counts
+        the registered roots and pins audited.
         """
         report = SanitizerReport()
         memory = getattr(self.manager, "memory", None)
         if memory is None:
             return report
-        report.refcounts_checked = memory.node_count
+        report.refcounts_checked = len(memory.roots())
         report.violations.extend(memory.audit())
         return report
 

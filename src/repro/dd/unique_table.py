@@ -14,17 +14,17 @@ with hit/miss/insert counters and wholesale eviction once full (the
 cheap strategy of the established DD packages, which overwrite entries
 rather than grow without bound).
 
-Both tables keep their counters *monotonic*: eviction and ``clear``
-drop entries but never reset ``hits``/``misses``/``inserts``, so
-``statistics()`` always describes the whole run (the sanitizer and the
-benchmarks rely on this when comparing counter snapshots).
+Both tables keep their counters *monotonic*: eviction, ``clear`` and
+``sweep`` drop entries but never reset ``hits``/``misses``/``inserts``,
+so ``statistics()`` always describes the whole run (the sanitizer and
+the benchmarks rely on this when comparing counter snapshots).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, Iterator, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterator, Optional, Set, Tuple
 
-from repro.dd.edge import REF_SATURATION, Edge, Node
+from repro.dd.edge import Edge, Node
 
 __all__ = ["UniqueTable", "ComputeTable"]
 
@@ -176,6 +176,10 @@ class UniqueTable:
     passes the *same* source to its vector and matrix tables so that
     uids are globally unique -- compute-table keys built from uids
     would otherwise collide across arities.
+
+    :meth:`sweep` is the only way a node leaves the table; the garbage
+    collector (:meth:`repro.dd.mem.MemoryManager.collect`) calls it and
+    then invalidates the derived state that may reference swept nodes.
     """
 
     def __init__(self, uid_source: Optional[Callable[[], int]] = None) -> None:
@@ -187,18 +191,8 @@ class UniqueTable:
         self._next_uid = uid_source
         self.hits = 0
         self.misses = 0
-        self.evictions = 0  # clear/retain/sweep events that dropped entries
+        self.evictions = 0  # sweeps that dropped entries
         self.evicted_entries = 0  # cumulative entries dropped
-        #: Fired after public pruning (:meth:`retain`/:meth:`clear`)
-        #: drops entries, so derived state (compute tables, weight
-        #: memos) referencing swept nodes is invalidated in lock-step.
-        #: The garbage collector's :meth:`sweep` does *not* fire it --
-        #: the collector performs one consolidated invalidation itself.
-        self._on_invalidate: Optional[Callable[[], None]] = None
-
-    def set_invalidation_hook(self, hook: Optional[Callable[[], None]]) -> None:
-        """Install the callback fired when public pruning drops nodes."""
-        self._on_invalidate = hook
 
     def __len__(self) -> int:
         return len(self._table)
@@ -227,15 +221,6 @@ class UniqueTable:
             return node
         self.misses += 1
         node = Node(self._next_uid(), level, edges)
-        # Refcount maintenance: one count per parent edge slot (a node
-        # referenced twice by the same parent counts twice), saturating
-        # at REF_SATURATION.  The terminal is born saturated, so this
-        # loop skips it for free.
-        for edge in edges:
-            child = edge.node
-            count = child.ref
-            if count < REF_SATURATION:
-                child.ref = count + 1
         self._table[key] = node
         return node
 
@@ -254,69 +239,30 @@ class UniqueTable:
         """Iterate over all interned nodes (sanitizer/uid-map hook)."""
         return iter(self._table.values())
 
-    def clear(self) -> None:
-        """Drop all interned nodes (invalidates outstanding edges).
-
-        Counters are cumulative and survive, mirroring
-        :meth:`ComputeTable.clear`.  Fires the invalidation hook when
-        entries were dropped: memoised results and weight memos may
-        reference the swept nodes and must not outlive them.
-        """
-        dropped = len(self._table)
-        if dropped:
-            self.evictions += 1
-            self.evicted_entries += dropped
-        self._table.clear()
-        if dropped and self._on_invalidate is not None:
-            self._on_invalidate()
-
     def sweep(self, marked_uids: Set[int]) -> int:
         """Drop every node whose uid is *not* in ``marked_uids``.
 
-        The mark-and-sweep primitive: removes unmarked nodes from the
-        table and decrements the refcounts of their children (one per
-        edge slot, symmetric with :meth:`get_or_create`; saturated and
-        already-zero counts are left untouched so the sanitizer audit
-        can spot genuine underflow).  Does not fire the invalidation
-        hook -- the collector invalidates derived state itself, once,
-        after sweeping both tables.  Returns the number dropped.
+        The mark-and-sweep primitive.  ``marked_uids`` must be closed
+        under reachability, or a kept node would point at a swept one.
+        Outstanding edges to dropped nodes stay valid Python objects but
+        re-intern as fresh nodes if the same structure is built again.
+        Derived state is not touched here: the collector invalidates it
+        once, after sweeping both tables.  Returns the number dropped.
         """
         table = self._table
         dead = [key for key, node in table.items() if node.uid not in marked_uids]
         for key in dead:
-            node = table.pop(key)
-            for edge in node.edges:
-                child = edge.node
-                count = child.ref
-                if 0 < count < REF_SATURATION:
-                    child.ref = count - 1
+            del table[key]
         if dead:
             self.evictions += 1
             self.evicted_entries += len(dead)
         return len(dead)
 
-    def retain(self, live_uids: Iterable[int]) -> int:
-        """Garbage-collect: keep only nodes whose uid is in ``live_uids``.
-
-        Returns the number of entries dropped.  Outstanding edges to
-        dropped nodes stay *valid* (the node objects live on through
-        Python references) but will re-intern as fresh nodes if an
-        identical structure is built again -- so callers must only
-        retain uid sets closed under reachability (the manager's
-        ``prune`` computes that closure).  Fires the invalidation hook
-        when entries were dropped, so compute tables and weight memos
-        never hold results referencing swept nodes.
-        """
-        dropped = self.sweep(set(live_uids))
-        if dropped and self._on_invalidate is not None:
-            self._on_invalidate()
-        return dropped
-
     def statistics(self) -> Dict[str, int]:
         # Every miss interns a fresh node, so inserts == misses.  The
         # schema mirrors ComputeTable.statistics (uniform across every
-        # engine table; see repro.obs): evictions counts clear/retain
-        # events, evicted_entries the entries they dropped.
+        # engine table; see repro.obs): evictions counts the sweeps that
+        # dropped entries, evicted_entries the entries they dropped.
         return {
             "size": len(self._table),
             "hits": self.hits,

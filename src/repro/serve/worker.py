@@ -20,16 +20,18 @@ Correctness of reuse:
   canonical circuit hash: reuse only ever happens for structurally
   identical circuits there.
 * A request that fails (including a deadline hit between gates)
-  discards its warm entry entirely -- a half-applied simulation may
-  hold root registrations the worker cannot account for, and
-  rebuilding the entry on next use is cheap compared to auditing it.
+  discards its warm entry entirely -- the run releases its own root
+  registration, but a sanitizer violation or a budget overrun leaves a
+  manager the worker cannot vouch for, and rebuilding the entry on next
+  use is cheap compared to auditing it.
 
 Memory discipline: entries are LRU-bounded (``max_warm``), state roots
 are released after serialization (``keep_state=False`` on
 :func:`repro.api.run_with`), and the manager's own
-:meth:`~repro.dd.mem.MemoryManager.maybe_collect` runs between jobs so
-a budgeted config stays inside its :class:`~repro.dd.mem.MemoryBudget`
-across requests, not just within one.
+:meth:`~repro.dd.mem.MemoryManager.maybe_collect` runs between jobs on
+every kept entry so a budgeted config stays inside its
+:class:`~repro.dd.mem.MemoryBudget` across requests, not just within
+one.
 
 Execution itself is the batch engine's
 :func:`~repro.exec.batch.execute_job`, given the warm simulator: the
@@ -154,16 +156,16 @@ class WarmWorker:
             serialize_spans=self.serialize_spans,
             job_attrs={"seq": serve_request.seq, "worker": self.worker_id, "warm": warm},
         )
-        if not outcome.ok:
-            self._discard(request)
         # The warm scope lives across requests: drain its span ring so
         # the next request does not re-ship this one's spans.
         scope.tracer.clear()
-        # Budgeted configs collect between jobs, not only under gate
-        # pressure -- a long-lived worker must return to its floor.
-        memory = simulator.manager.memory
-        if memory.config.enabled or memory.config.budget is not None:
-            memory.maybe_collect()
+        if not outcome.ok:
+            self._discard(request)
+        elif simulator.manager.memory.active:
+            # A kept entry with GC on collects between jobs, not only
+            # under gate pressure -- a long-lived worker must return to
+            # its floor.  A discarded entry is never touched again.
+            simulator.manager.memory.maybe_collect()
         return ServeResponse(serve_request.seq, self.worker_id, outcome, warm)
 
 

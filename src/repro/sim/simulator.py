@@ -106,10 +106,12 @@ class Simulator:
         unless it is ``None``).  Without a config all three are off and
         the manager's memory configuration is left as it is.
 
-    With GC active, :meth:`run` keeps the evolving state registered as
-    a root, gives the collector a chance to run after every gate, and
-    leaves the final state registered (it backs the returned
-    :class:`SimulationResult`).  A configured budget raises
+    With GC active (:attr:`repro.dd.mem.MemoryManager.active`, read at
+    the start of each :meth:`run`), :meth:`run` keeps the evolving state
+    registered as a root, gives the collector a chance to run after
+    every gate, and leaves the final state registered (it backs the
+    returned :class:`SimulationResult`).  A run that raises releases
+    the registration first.  A configured budget raises
     :class:`~repro.errors.MemoryBudgetExceeded` mid-run when the live
     state cannot fit.
 
@@ -145,8 +147,6 @@ class Simulator:
         gc = None if config is None else config.memory_config()
         if gc is not None:
             manager.memory.configure(gc)
-        memory = manager.memory
-        self._gc_active = memory.config.enabled or memory.config.budget is not None
 
     # ------------------------------------------------------------------
 
@@ -256,65 +256,74 @@ class Simulator:
         tracing = tracer.enabled  # hoisted: no span kwargs built when off
         gate_counter = self._gate_counter
         gate_seconds = self._gate_seconds
-        gc_active = self._gc_active
         memory = self.manager.memory
+        gc_active = memory.active
         if gc_active:
             # The evolving state is the collector's root.  The previous
             # state is released only after the new one is registered, so
             # a same-node transition never transiently drops to zero.
             memory.inc_ref(state)
-        previous_nodes = 0
-        previous_elapsed = 0.0
-        started = time.perf_counter()
-        # Deadline as an offset from ``started``: one comparison per gate.
-        time_limit = math.inf if deadline is None else deadline - started
-        for index, operation in enumerate(circuit):
-            if tracing:
-                span = tracer.span("sim.gate", gate=str(operation.gate), index=index)
-                with span:
+        finished = False
+        try:
+            previous_nodes = 0
+            previous_elapsed = 0.0
+            started = time.perf_counter()
+            # Deadline as an offset from ``started``: one comparison per gate.
+            time_limit = math.inf if deadline is None else deadline - started
+            for index, operation in enumerate(circuit):
+                if tracing:
+                    span = tracer.span("sim.gate", gate=str(operation.gate), index=index)
+                    with span:
+                        new_state = self._apply_operation(state, operation)
+                else:
                     new_state = self._apply_operation(state, operation)
-            else:
-                new_state = self._apply_operation(state, operation)
-            if gc_active:
-                memory.inc_ref(new_state)
-                memory.dec_ref(state)
-                state = new_state
-                memory.maybe_collect()
-            else:
-                state = new_state
-            if check_every_op:
+                if gc_active:
+                    memory.inc_ref(new_state)
+                    memory.dec_ref(state)
+                    state = new_state
+                    memory.maybe_collect()
+                else:
+                    state = new_state
+                if check_every_op:
+                    sanitizer.check_state(state)
+                elapsed = time.perf_counter() - started
+                width = self.manager.max_bit_width(state) if self.record_bit_widths else 0
+                node_count = self.manager.node_count(state)
+                gate_counter.inc()
+                gate_seconds.observe(elapsed - previous_elapsed)
+                self._nodes_gauge.set(node_count)
+                self._peak_nodes_gauge.set_max(node_count)
+                if self.record_bit_widths:
+                    self._bit_width_gauge.set_max(width)
+                    self._bit_width_hist.observe(width)
+                if tracing:
+                    span.set(nodes=node_count, node_delta=node_count - previous_nodes)
+                previous_nodes = node_count
+                previous_elapsed = elapsed
+                trace.steps.append(
+                    SimulationStep(
+                        gate_index=index,
+                        gate_name=str(operation.gate),
+                        node_count=node_count,
+                        cumulative_seconds=elapsed,
+                        max_bit_width=width,
+                    )
+                )
+                if step_callback is not None:
+                    step_callback(index, state)
+                if elapsed > time_limit:
+                    raise JobTimeout(
+                        f"job exceeded its deadline after {index + 1} of "
+                        f"{len(circuit)} gates"
+                    )
+            if sanitizer is not None and not check_every_op:
                 sanitizer.check_state(state)
-            elapsed = time.perf_counter() - started
-            width = self.manager.max_bit_width(state) if self.record_bit_widths else 0
-            node_count = self.manager.node_count(state)
-            gate_counter.inc()
-            gate_seconds.observe(elapsed - previous_elapsed)
-            self._nodes_gauge.set(node_count)
-            self._peak_nodes_gauge.set_max(node_count)
-            if self.record_bit_widths:
-                self._bit_width_gauge.set_max(width)
-                self._bit_width_hist.observe(width)
-            if tracing:
-                span.set(nodes=node_count, node_delta=node_count - previous_nodes)
-            previous_nodes = node_count
-            previous_elapsed = elapsed
-            trace.steps.append(
-                SimulationStep(
-                    gate_index=index,
-                    gate_name=str(operation.gate),
-                    node_count=node_count,
-                    cumulative_seconds=elapsed,
-                    max_bit_width=width,
-                )
-            )
-            if step_callback is not None:
-                step_callback(index, state)
-            if elapsed > time_limit:
-                raise self._deadline_passed(  # repro-lint: transfers-ownership
-                    state, index + 1, len(circuit)
-                )
-        if sanitizer is not None and not check_every_op:
-            sanitizer.check_state(state)
+            finished = True
+        finally:
+            if not finished:
+                # The one release point for every failure: budget,
+                # sanitizer, step callback and deadline alike.
+                self._release_root(state, gc_active)  # repro-lint: transfers-ownership
         # The final state's root registration is deliberately retained:
         # it keeps the returned DD alive across later collections, and
         # its ownership moves into the result handed to the caller.
@@ -322,12 +331,10 @@ class Simulator:
             manager=self.manager, state=state, trace=trace
         )
 
-    def _deadline_passed(self, root: Edge, done: int, total: int) -> JobTimeout:
-        """The error for a run stopped after ``done`` gates; takes over
-        and releases the evolving state's root registration."""
-        if self._gc_active:
+    def _release_root(self, root: Edge, registered: bool) -> None:
+        """Drop the evolving state's registration when :meth:`run` made one."""
+        if registered:
             self.manager.memory.dec_ref(root)
-        return JobTimeout(f"job exceeded its deadline after {done} of {total} gates")
 
     def apply(self, state: Edge, operation: Operation) -> Edge:
         """Apply a single gate to a state edge (no trace)."""

@@ -59,6 +59,24 @@ class TestSimulatorConfig:
         with pytest.raises(ConfigError):
             SimulatorConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            pytest.param({"gc": 100, "gc_min_yield": 2.0}, id="min-yield-above-1"),
+            pytest.param({"gc_min_yield": -0.1}, id="min-yield-negative"),
+            pytest.param({"gc_min_yield": float("nan")}, id="min-yield-nan"),
+            pytest.param({"gc": True}, id="gc-bool"),
+            pytest.param({"gc": 2.5}, id="gc-float"),
+            pytest.param({"max_nodes": True}, id="max-nodes-bool"),
+            pytest.param({"max_bytes": 1e6}, id="max-bytes-float"),
+            pytest.param({"eps": float("nan")}, id="eps-nan"),
+            pytest.param({"eps": float("inf")}, id="eps-inf"),
+        ],
+    )
+    def test_gc_and_eps_values_are_checked_at_construction(self, kwargs):
+        with pytest.raises(ConfigError):
+            SimulatorConfig(**kwargs)
+
     def test_frozen_and_hashable(self):
         config = SimulatorConfig()
         with pytest.raises(Exception):

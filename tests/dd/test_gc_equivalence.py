@@ -36,8 +36,8 @@ MANAGER_FACTORIES = {
     "numeric-tolerant": lambda: numeric_manager(NUM_QUBITS, eps=1e-10),
 }
 
-#: Collect after every single gate, weight sweep included.
-AGGRESSIVE = dict(threshold=1, min_yield=0.0, sweep_weights=True)
+#: Collect after every single gate (every collection sweeps weights too).
+AGGRESSIVE = dict(threshold=1, min_yield=0.0)
 
 
 @st.composite
@@ -78,7 +78,6 @@ class TestGcNeverChangesResults:
         reference = Simulator(factory()).run(circuit).final_amplitudes()
 
         manager = factory()
-        # sweep_weights has no SimulatorConfig field: configure directly.
         manager.memory.configure(MemoryConfig(**AGGRESSIVE))
         simulator = Simulator(manager)
         collected = simulator.run(circuit).final_amplitudes()

@@ -1,24 +1,28 @@
 """Tests for the node lifecycle / memory-management subsystem.
 
-Covers the :mod:`repro.dd.mem` contract: incremental refcounts agree
-with a structural recount, mark-and-sweep keeps exactly the reachable
-closure, derived memo state (compute tables, weight memos, weight
-tables) is invalidated or swept coherently, and the trigger policy
-(threshold growth, hard budgets) behaves as documented.
+Covers the :mod:`repro.dd.mem` contract: the root registry plus
+reachability is the one liveness record, mark-and-sweep keeps exactly
+the reachable closure, derived memo state (compute tables, weight
+memos, weight tables) is invalidated or swept coherently, and the
+trigger policy (threshold growth, hard budgets) behaves as documented.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.circuits.circuit import Circuit
-from repro.dd.edge import REF_SATURATION, TERMINAL
+from repro.dd.edge import iter_nodes
 from repro.dd.manager import (
     algebraic_gcd_manager,
     algebraic_manager,
     numeric_manager,
 )
 from repro.dd.mem import GcStats, MemoryBudget, MemoryConfig
+from repro.dd.sanitizer import Sanitizer
 from repro.errors import DDError, MemoryBudgetExceeded
 from repro.sim.simulator import Simulator
+from tests.dd.test_gc_equivalence import NUM_QUBITS, clifford_t_circuits
 
 
 def _entangled_state(manager, num_qubits=3):
@@ -28,40 +32,53 @@ def _entangled_state(manager, num_qubits=3):
     return Simulator(manager).run(circuit).state
 
 
+#: The four number systems of the paper's evaluation.
+LIVENESS_FACTORIES = {
+    "algebraic": algebraic_manager,
+    "algebraic-gcd": algebraic_gcd_manager,
+    "numeric-eps0": lambda n: numeric_manager(n, eps=0.0),
+    "numeric-eps1e-10": lambda n: numeric_manager(n, eps=1e-10),
+}
+
+#: One step of a root-registry script: (kind, pool index, extra-root indices).
+_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["inc", "inc", "dec", "pin", "collect", "grow"]),
+        st.integers(min_value=0, max_value=63),
+        st.lists(st.integers(min_value=0, max_value=63), max_size=3),
+    ),
+    min_size=1,
+    max_size=16,
+)
+
+
+def _closure(edges):
+    return {node.uid for edge in edges for node in iter_nodes(edge)}
+
+
+def _resident_uids(manager):
+    return {
+        node.uid
+        for table in (manager._vector_table, manager._matrix_table)
+        for node in table.nodes()
+    }
+
+
 class TestRefcounts:
-    def test_terminal_is_born_saturated(self):
-        assert TERMINAL.ref == REF_SATURATION
-
-    def test_interning_maintains_in_degrees(self, manager_factory):
-        manager = manager_factory(3)
-        _entangled_state(manager)
-        assert manager.memory.audit() == []
-
-    def test_audit_detects_corrupted_count(self):
-        manager = algebraic_manager(3)
-        state = _entangled_state(manager)
-        state.node.ref += 1
-        violations = manager.memory.audit()
-        assert violations and violations[0].code == "refcount"
-        assert violations[0].node_uid == state.node.uid
-
-    def test_audit_skips_saturated_counts(self):
-        manager = algebraic_manager(3)
-        state = _entangled_state(manager)
-        state.node.ref = REF_SATURATION
-        assert manager.memory.audit() == []
+    """Root-registration counts: the only counts the collector keeps."""
 
     def test_inc_dec_roundtrip(self):
         manager = algebraic_manager(2)
         state = manager.basis_state(3)
-        before = state.node.ref
         memory = manager.memory
         memory.inc_ref(state)
         memory.inc_ref(state)
-        assert state.node.ref == before + 2
         memory.dec_ref(state)
+        assert memory.statistics()["registered_roots"] == 1
+        memory.collect()
+        assert state.node.uid in _resident_uids(manager)
         memory.dec_ref(state)
-        assert state.node.ref == before
+        assert memory.statistics()["registered_roots"] == 0
         assert memory.audit() == []
 
     def test_dec_ref_unregistered_raises(self):
@@ -70,15 +87,90 @@ class TestRefcounts:
         with pytest.raises(DDError, match="balanced"):
             manager.memory.dec_ref(state)
 
-    def test_saturated_count_is_sticky(self):
-        manager = algebraic_manager(2)
-        state = manager.basis_state(1)
-        state.node.ref = REF_SATURATION
+    def test_audit_flags_swept_roots_and_pins(self):
+        manager = algebraic_manager(3)
         memory = manager.memory
-        memory.inc_ref(state)
-        assert state.node.ref == REF_SATURATION
-        memory.dec_ref(state)
-        assert state.node.ref == REF_SATURATION
+        root = _entangled_state(manager)
+        pinned = manager.basis_state(5)
+        memory.inc_ref(root)
+        memory.pin(pinned)
+        # Bypass the collector: sweep everything, roots included.
+        manager._vector_table.sweep(set())
+        codes = {(v.code, v.node_uid) for v in memory.audit()}
+        assert codes == {("refcount", root.node.uid), ("refcount", pinned.node.uid)}
+
+
+class TestSingleLivenessRule:
+    """The root registry plus reachability is the GC's only liveness
+    record: after every collection the resident set is exactly the
+    closure of what owners registered, pinned or passed as extra roots.
+
+    A pool of states from random Clifford+T circuits is driven by a
+    random script of registry operations; a model tracks the expected
+    registrations.  Only states that were protected at every collection
+    since they were built stay in the pool (anything else may have been
+    swept and must not be used again).
+    """
+
+    @pytest.mark.parametrize("kind", sorted(LIVENESS_FACTORIES))
+    @given(
+        first=clifford_t_circuits(),
+        second=clifford_t_circuits(),
+        ops=_OPS,
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_resident_set_is_the_closure_of_the_roots(self, kind, first, second, ops):
+        manager = LIVENESS_FACTORIES[kind](NUM_QUBITS)
+        memory = manager.memory
+        pool = []
+
+        def grow(initial):
+            Simulator(manager).run(
+                second, initial_state=initial, step_callback=lambda _i, s: pool.append(s)
+            )
+            pool.append(initial)
+
+        Simulator(manager).run(first, step_callback=lambda _i, s: pool.append(s))
+        pool.append(manager.zero_state())
+        registered = {}  # (node uid, weight key) -> [edge, outstanding registrations]
+        pinned = {}  # id(edge) -> edge
+        for kind_of_op, index, extra_indices in ops:
+            edge = pool[index % len(pool)] if pool else None
+            root = None if edge is None else (edge.node.uid, manager.system.key(edge.weight))
+            if kind_of_op == "inc" and edge is not None:
+                memory.inc_ref(edge)
+                registered.setdefault(root, [edge, 0])[1] += 1
+            elif kind_of_op == "dec" and edge is not None:
+                entry = registered.get(root)
+                if entry is None:
+                    with pytest.raises(DDError, match="balanced"):
+                        memory.dec_ref(edge)
+                    continue
+                memory.dec_ref(edge)
+                entry[1] -= 1
+                if entry[1] == 0:
+                    del registered[root]
+            elif kind_of_op == "pin" and edge is not None:
+                memory.pin(edge)
+                pinned[id(edge)] = edge
+            elif kind_of_op == "grow" and edge is not None:
+                grow(edge)
+            elif kind_of_op == "collect":
+                extras = [pool[i % len(pool)] for i in extra_indices] if pool else []
+                memory.collect(extra_roots=extras)
+                kept = [e for e, _ in registered.values()] + list(pinned.values())
+                # Kernels pin their own matrix fallbacks; those are roots too.
+                every_pin = list(memory._pins.values())
+                assert _resident_uids(manager) == _closure(kept + extras + every_pin)
+                assert memory.audit() == []
+                sanitizer = Sanitizer(manager)
+                for root in kept:
+                    sanitizer.check_state(root)
+                outstanding = {uid for uid, _ in registered}
+                snapshot = manager.telemetry.metrics.snapshot()
+                assert snapshot["dd.gc.registered_roots"] == len(outstanding)
+                protected = {id(e) for e in kept + extras}
+                pool = [e for e in pool if id(e) in protected]
 
 
 class TestCollect:
@@ -175,25 +267,24 @@ class TestWeightSweep:
         assert stats.swept_weights == 0
         assert len(table) == before  # anchors all stay
 
-    def test_sweep_weights_can_be_disabled(self):
-        manager = algebraic_manager(3)
-        manager.memory.configure(MemoryConfig(sweep_weights=False))
-        _entangled_state(manager)
-        stats = manager.memory.collect()
-        assert stats.swept_nodes > 0
-        assert stats.swept_weights == 0
-
 
 class TestTriggerPolicy:
     def test_coercions(self):
-        assert MemoryConfig.coerce(None).enabled is False
-        assert MemoryConfig.coerce(False).enabled is False
-        assert MemoryConfig.coerce(True).enabled is True
-        assert MemoryConfig.coerce(64).threshold == 64
-        budget = MemoryBudget(max_nodes=10)
-        assert MemoryConfig.coerce(budget).budget is budget
-        with pytest.raises(TypeError):
-            MemoryConfig.coerce("lots")
+        # memory= and configure() take a MemoryConfig or None (GC off);
+        # the old bool/int/MemoryBudget shorthands are rejected.
+        manager = algebraic_manager(2)
+        memory = manager.memory
+        assert memory.config.enabled is False and memory.active is False
+        config = MemoryConfig(enabled=False, budget=MemoryBudget(max_nodes=9))
+        memory.configure(config)
+        assert memory.config is config and memory.active is True
+        memory.configure(None)
+        assert memory.active is False
+        for shorthand in (True, 64, MemoryBudget(max_nodes=10)):
+            with pytest.raises(TypeError, match="MemoryConfig"):
+                memory.configure(shorthand)
+            with pytest.raises(TypeError, match="MemoryConfig"):
+                algebraic_manager(2, memory=shorthand)
 
     def test_threshold_triggers_maybe_collect(self):
         manager = algebraic_manager(3)
@@ -211,22 +302,9 @@ class TestTriggerPolicy:
         memory.inc_ref(state)
         memory.collect()  # shrink to the live closure first
         live = memory.node_count
-        memory.configure(
-            MemoryConfig(threshold=max(1, live), min_yield=0.9, growth_factor=2.0)
-        )
+        memory.configure(MemoryConfig(threshold=max(1, live), min_yield=0.9))
         memory.maybe_collect()  # everything is live: yield ~0
         assert memory.statistics()["threshold"] == max(1, live) * 2
-
-    def test_max_threshold_clamps_growth(self):
-        manager = algebraic_manager(2)
-        memory = manager.memory
-        state = manager.basis_state(3)
-        memory.inc_ref(state)
-        memory.configure(
-            MemoryConfig(threshold=1, min_yield=1.0, growth_factor=100.0, max_threshold=5)
-        )
-        memory.maybe_collect()
-        assert memory.statistics()["threshold"] == 5
 
     def test_disabled_gc_never_collects(self):
         manager = algebraic_manager(3)
@@ -289,7 +367,7 @@ class TestSimulatorWiring:
 
     def test_simulator_budget_failure_is_typed(self):
         manager = algebraic_manager(6)
-        manager.memory.configure(MemoryBudget(max_nodes=4))
+        manager.memory.configure(MemoryConfig(enabled=False, budget=MemoryBudget(max_nodes=4)))
         simulator = Simulator(manager)
         circuit = Circuit(6)
         for qubit in range(6):
@@ -303,10 +381,3 @@ class TestSimulatorWiring:
         stats = manager.statistics()["gc"]
         assert stats["enabled"] is False
         assert stats["collections"] == 0
-
-    def test_collect_garbage_entry_point(self):
-        manager = algebraic_manager(3)
-        state = _entangled_state(manager)
-        stats = manager.collect_garbage(roots=[state])
-        assert stats.trigger == "explicit"
-        assert manager.memory.audit() == []

@@ -54,50 +54,3 @@ class TestPrune:
         assert manager.statistics()["vector_nodes"] == 0
         assert dropped["vector_dropped"] >= 3
 
-
-class TestPruneInvalidatesDerivedState:
-    """Regression: ``retain``/``clear`` used to leave the compute tables
-    and weight-arithmetic memos holding entries keyed by swept nodes and
-    swept weight ids.  A later structurally-identical computation could
-    then replay a stale memo against a node that no longer exists (or a
-    recycled-looking key) -- the wrong-but-plausible DD failure mode.
-    Both entry points now route through the memory manager's
-    consolidated invalidation hook."""
-
-    def test_retain_drops_memoized_apply_state(self):
-        manager = algebraic_manager(3)
-        simulator = Simulator(manager)
-        circuit = Circuit(3).h(0).cx(0, 1).t(1).cx(1, 2)
-        final = simulator.run(circuit).state
-        assert sum(t.statistics()["size"] for t in manager._compute_tables()) > 0
-        from repro.dd.edge import iter_nodes
-
-        manager._vector_table.retain([node.uid for node in iter_nodes(final)])
-        for table in manager._compute_tables():
-            assert table.statistics()["size"] == 0, table.name
-        # Replaying the same circuit after pruning must still be exact.
-        replay = Simulator(manager).run(circuit).state
-        assert manager.edges_equal(replay, final)
-
-    def test_clear_drops_memoized_apply_state(self):
-        manager = algebraic_manager(3)
-        circuit = Circuit(3).h(0).cx(0, 1).t(1).cx(1, 2)
-        expected = Simulator(manager).run(circuit).final_amplitudes()
-        manager._vector_table.clear()
-        manager._matrix_table.clear()
-        for table in manager._compute_tables():
-            assert table.statistics()["size"] == 0, table.name
-        rebuilt = Simulator(manager).run(circuit).final_amplitudes()
-        assert rebuilt.tobytes() == expected.tobytes()
-
-    def test_retain_keeps_weight_memos_coherent(self):
-        from repro.dd.edge import iter_nodes
-        from repro.dd.sanitizer import Sanitizer
-
-        manager = algebraic_manager(3)
-        simulator = Simulator(manager)
-        circuit = Circuit(3).h(0).cx(0, 1).t(1).cx(1, 2)
-        final = simulator.run(circuit).state
-        manager._vector_table.retain([node.uid for node in iter_nodes(final)])
-        final2 = Simulator(manager).run(circuit).state
-        Sanitizer(manager).check_state(final2)

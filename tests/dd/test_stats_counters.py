@@ -7,7 +7,7 @@ Satellite fixes under test:
   counters monotonic and account for dropped entries in
   ``evicted_entries`` (previously a cleared table looked like a fresh
   one, so benchmark snapshots went backwards).
-* :class:`UniqueTable.clear` keeps its hit/miss counters.
+* :meth:`UniqueTable.sweep` keeps its hit/miss counters.
 * ``DDManager.statistics()`` exposes how many gate applications the
   direct apply kernel handled itself (``apply_direct_ops``) versus
   delegated to the matrix path (``apply_delegated_ops`` -- the numeric
@@ -65,16 +65,17 @@ class TestComputeTableMonotonicStats:
 
 
 class TestUniqueTableMonotonicStats:
-    def test_clear_keeps_hit_miss_counters(self):
+    def test_sweep_keeps_hit_miss_counters(self):
         manager = algebraic_manager(2)
         manager.basis_state(0)
         manager.basis_state(0)  # re-interns the same nodes: hits
         table = manager._vector_table
         before = table.statistics()
         assert before["hits"] > 0 and before["misses"] > 0
-        table.clear()
+        table.sweep(set())
         after = table.statistics()
         assert after["size"] == 0
+        assert after["evicted_entries"] == before["size"]
         assert after["hits"] == before["hits"]
         assert after["misses"] == before["misses"]
 

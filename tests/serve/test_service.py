@@ -238,6 +238,36 @@ class TestWarmReuse:
         assert worker2.warm_entries == 1
 
 
+def _over_budget_request():
+    """A Grover run whose live state cannot fit a 10-node budget."""
+    from repro.algorithms.grover import grover_circuit
+
+    config = SimulatorConfig(system="algebraic", gc=4, max_nodes=10)
+    return RunRequest(grover_circuit(6, 5), config)
+
+
+class TestBudgetFailure:
+    def test_inline_worker_returns_a_failed_outcome(self):
+        from repro.serve.protocol import ServeRequest
+        from repro.serve.worker import WarmWorker
+
+        worker = WarmWorker(0)
+        response = worker.execute(ServeRequest(1, _over_budget_request()))
+        assert not response.outcome.ok
+        assert response.outcome.error_type == "MemoryBudgetExceeded"
+        assert worker.warm_entries == 0
+
+    def test_process_service_reports_a_typed_failure_without_restart(self):
+        with SimulationService(workers=1, mode="process", cache_capacity=0) as service:
+            with pytest.raises(errors.ServeError, match="MemoryBudgetExceeded"):
+                service.submit(_over_budget_request())
+            small = RunRequest(ghz_circuit(2), SimulatorConfig())
+            result = service.submit(small)
+            stats = service.stats()
+        assert result.state_payload == run(small).state_payload
+        assert stats["serve.worker.restarts"] == 0
+
+
 def _long_circuit(num_gates=100):
     circuit = Circuit(2, name=f"long{num_gates}")
     for index in range(num_gates):

@@ -6,11 +6,14 @@ import time
 import numpy as np
 import pytest
 
+from repro.algorithms.grover import grover_circuit
 from repro.api import SimulatorConfig
 from repro.circuits.circuit import Circuit
 from repro.circuits.library import ghz_circuit, qft_circuit, uniform_superposition
 from repro.dd.manager import algebraic_gcd_manager, algebraic_manager, numeric_manager
-from repro.errors import JobTimeout, SimulationError
+from repro.dd.mem import MemoryConfig
+from repro.dd.sanitizer import Sanitizer
+from repro.errors import JobTimeout, MemoryBudgetExceeded, SanitizerError, SimulationError
 from repro.sim.simulator import Simulator
 from repro.sim.statevector import StatevectorSimulator
 
@@ -197,3 +200,66 @@ class TestDeadline:
         memory = simulator.manager.memory
         assert memory.statistics()["registered_roots"] == 0
         assert memory.audit() == []
+
+
+class TestFailedRunReleasesTheRoot:
+    """Every failure path of :meth:`Simulator.run` hands back the
+    evolving state's GC root, so the stack stays usable afterwards."""
+
+    def _assert_released(self, simulator):
+        memory = simulator.manager.memory
+        assert memory.statistics()["registered_roots"] == 0
+        assert memory.audit() == []
+
+    def test_budget_failure(self):
+        simulator = SimulatorConfig(system="algebraic", gc=4, max_nodes=10).create_simulator(6)
+        with pytest.raises(MemoryBudgetExceeded):
+            simulator.run(grover_circuit(6, 5))
+        self._assert_released(simulator)
+        # A small circuit fits the budget again on the same stack.
+        simulator.run(Circuit(6).h(0))
+
+    def test_step_callback_failure(self):
+        simulator = SimulatorConfig(gc=1).create_simulator(3)
+
+        def fail(_index, _state):
+            raise RuntimeError("callback failed")
+
+        with pytest.raises(RuntimeError, match="callback failed"):
+            simulator.run(ghz_circuit(3), step_callback=fail)
+        self._assert_released(simulator)
+
+    def test_sanitizer_failure(self, monkeypatch):
+        simulator = SimulatorConfig(gc=1, sanitize="check-every-op").create_simulator(3)
+
+        def reject(_self, _state, raise_on_violation=True):
+            raise SanitizerError("normalization", "injected violation")
+
+        monkeypatch.setattr(Sanitizer, "check_state", reject)
+        with pytest.raises(SanitizerError, match="injected"):
+            simulator.run(ghz_circuit(3))
+        self._assert_released(simulator)
+
+    def test_configure_after_construction_takes_effect(self):
+        simulator = SimulatorConfig().create_simulator(3)
+        simulator.manager.memory.configure(MemoryConfig(threshold=1, min_yield=0.0))
+        simulator.run(ghz_circuit(3))
+        memory = simulator.manager.memory
+        assert memory.statistics()["collections"] > 0
+        assert memory.statistics()["registered_roots"] == 1
+
+
+class TestGcKeepsRootWeights:
+    @pytest.mark.parametrize("system", ["algebraic", "algebraic-gcd", "numeric"])
+    def test_phase_only_gates_keep_the_new_root_weight(self, system):
+        # On |11>, T then S changes only the root edge's weight (the root
+        # node stays).  A collection after every gate must keep the new
+        # weight interned, or the root edge holds a swept weight.
+        config = SimulatorConfig(
+            system=system, gc=1, gc_min_yield=0.0, sanitize="check-on-root"
+        )
+        simulator = config.create_simulator(2)
+        result = simulator.run(Circuit(2).x(0).x(1).t(0).s(0))
+        assert simulator.manager.memory.statistics()["collections"] == 4
+        expected = StatevectorSimulator(2).run(Circuit(2).x(0).x(1).t(0).s(0))
+        np.testing.assert_allclose(result.final_amplitudes(), expected, atol=1e-12)

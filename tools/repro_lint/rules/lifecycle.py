@@ -1,11 +1,11 @@
-"""Node-lifecycle rules: RL007, RL009 (refcount balance), RL013
-(exception safety on GC trigger paths).
+"""Node-lifecycle rules: RL007, RL009 (root-registration balance),
+RL013 (exception safety on GC trigger paths).
 
-PR 4 made node liveness a *protocol*: external roots are registered
-with ``inc_ref`` and released with ``dec_ref``; the mark-and-sweep
-collector trusts those counts.  A missed ``dec_ref`` is a silent leak
-the runtime audit only catches late and expensively -- RL009 certifies
-the pairing statically.  RL013 guards the other direction: a
+Node liveness is a *protocol*: external roots are registered with
+``inc_ref`` and released with ``dec_ref``; the mark-and-sweep
+collector marks from those registrations and nothing else.  A missed
+``dec_ref`` is a silent leak the runtime audit only catches late and
+expensively -- RL009 certifies the pairing statically.  RL013 guards the other direction: a
 ``MemoryBudgetExceeded`` raised between a budget check and the commit
 of dependent state leaves the manager half-updated.
 """
@@ -50,9 +50,9 @@ def _rl007_check(
             node.lineno,
             node.col_offset,
             f"access to unique-table internal {node.attr!r} outside the "
-            "lifecycle layer; resident-set changes must go through "
-            "sweep/retain/clear (or DDManager.memory) so refcounts stay "
-            "balanced and derived caches are invalidated",
+            "lifecycle layer; nodes may leave a unique table only through "
+            "the collector (DDManager.memory / prune), which marks from "
+            "the registered roots and invalidates derived caches",
         )
 
 

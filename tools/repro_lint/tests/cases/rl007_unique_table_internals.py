@@ -1,9 +1,10 @@
 # lint-path: src/repro/dd/rogue_pruner.py
 """RL007: node residency changes bypass the lifecycle layer.
 
-Popping nodes out of the raw unique-table dict leaves child refcounts
-stale and skips the compute-table invalidation hook; minting uids by
-hand breaks the shared uid space of the vector and matrix tables.
+Popping nodes out of the raw unique-table dict can drop a node that a
+registered root still reaches and skips the collector's invalidation
+of compute tables and weight memos; minting uids by hand breaks the
+shared uid space of the vector and matrix tables.
 """
 
 
@@ -18,8 +19,7 @@ def rogue_uid(table):
     return table._next_uid()  # lint-expect: RL007
 
 
-def fine(manager, live_uids):
-    # The blessed path: refcount-aware sweep plus derived-cache
-    # invalidation through the memory manager.
-    manager._vector_table.retain(live_uids)
-    return manager.memory.collect()
+def fine(manager, live_roots):
+    # The blessed path: the collector marks from the registered roots
+    # (plus these extra ones), sweeps, then invalidates derived caches.
+    return manager.memory.collect(extra_roots=live_roots)
