@@ -39,6 +39,10 @@ sanitize-smoke:
 	    --qubits 5 --system algebraic-gcd --mode check-every-op
 	PYTHONPATH=src $(PYTHON) -m repro.cli sanitize --algorithm grover \
 	    --qubits 5 --system numeric --eps 1e-12 --mode check-every-op
+	PYTHONPATH=src $(PYTHON) -m repro.cli sanitize --algorithm grover \
+	    --qubits 5 --system numeric --eps 1e-3 --mode check-every-op
+	PYTHONPATH=src $(PYTHON) -m repro.cli sanitize --algorithm grover \
+	    --qubits 5 --system numeric --eps 1e-20 --mode check-every-op
 
 # End-to-end garbage-collection run under a tight node budget, with
 # the sanitizer on the final state (its root audit checks that every

@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from repro.errors import CircuitError
 from repro.rings.domega import DOmega
 
 __all__ = [
@@ -52,6 +53,12 @@ __all__ = [
 _INV_SQRT2 = 1 / math.sqrt(2)
 
 
+def _check_angles(name: str, *angles: float) -> None:
+    """Raise :class:`CircuitError` unless every angle is finite."""
+    if not all(math.isfinite(angle) for angle in angles):
+        raise CircuitError(f"gate {name!r} needs finite angles, got {angles!r}")
+
+
 @dataclass(frozen=True)
 class GateDef:
     """An (uncontrolled) single-qubit gate.
@@ -73,6 +80,11 @@ class GateDef:
     matrix: Tuple[complex, complex, complex, complex]
     exact: Optional[Tuple[DOmega, DOmega, DOmega, DOmega]] = None
     params: Tuple[float, ...] = ()
+
+    def __post_init__(self) -> None:
+        if not all(cmath.isfinite(entry) for entry in self.matrix):
+            raise CircuitError(f"gate {self.name!r} has a non-finite matrix entry: {self.matrix!r}")
+        _check_angles(self.name, *self.params)
 
     @property
     def is_exactly_representable(self) -> bool:
@@ -197,6 +209,7 @@ def phase_gate(theta: float) -> GateDef:
     Exact (``D[omega]`` entries) iff ``theta`` is a multiple of
     ``pi/4`` -- then ``e^{i theta}`` is a power of ``omega``.
     """
+    _check_angles("p", theta)
     exact = None
     ratio = theta / (math.pi / 4)
     nearest = round(ratio)
@@ -219,6 +232,7 @@ def rz_gate(theta: float) -> GateDef:
     approximation (:mod:`repro.approx`), exactly as the paper's GSE
     benchmark required Quipper preprocessing.
     """
+    _check_angles("rz", theta)
     half = theta / 2.0
     return GateDef(
         name="rz",
@@ -229,6 +243,7 @@ def rz_gate(theta: float) -> GateDef:
 
 def ry_gate(theta: float) -> GateDef:
     """``RY(theta)`` rotation (numeric only in general)."""
+    _check_angles("ry", theta)
     half = theta / 2.0
     return GateDef(
         name="ry",
@@ -239,6 +254,7 @@ def ry_gate(theta: float) -> GateDef:
 
 def rx_gate(theta: float) -> GateDef:
     """``RX(theta)`` rotation (numeric only in general)."""
+    _check_angles("rx", theta)
     half = theta / 2.0
     return GateDef(
         name="rx",
@@ -254,6 +270,7 @@ def rx_gate(theta: float) -> GateDef:
 
 def u_gate(theta: float, phi: float, lam: float) -> GateDef:
     """The generic single-qubit gate ``U(theta, phi, lambda)`` (numeric)."""
+    _check_angles("u", theta, phi, lam)
     return GateDef(
         name="u",
         matrix=(

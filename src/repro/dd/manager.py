@@ -238,7 +238,7 @@ class DDManager:
     def is_zero_edge(self, edge: Edge) -> bool:
         if edge is self._zero_edge:
             return True
-        return edge.is_terminal and self.system.is_zero(edge.weight)
+        return edge.node is TERMINAL and self.system.is_zero(edge.weight)
 
     def level_of_qubit(self, qubit: int) -> int:
         if not 0 <= qubit < self.num_qubits:
@@ -255,30 +255,35 @@ class DDManager:
         If all children are zero edges the node collapses to a zero
         edge.  Otherwise the number system's normalisation (Section II-B
         / Algorithms 2-3) factors out ``eta`` and the normalised node is
-        interned in the unique table.
+        interned in the unique table.  A nonzero weight that
+        normalisation snaps onto zero (the tolerant numeric table) becomes
+        the canonical zero edge, exactly like a zero input.
         """
-        arity = len(children)
-        if arity == VECTOR_ARITY:
+        system = self.system
+        is_zero = system.is_zero
+        zero_edge = self._zero_edge
+        if len(children) == VECTOR_ARITY:
             # Unrolled hot path: vector nodes dominate simulation.
             c0, c1 = children
-            is_zero = self.system.is_zero
-            z0 = is_zero(c0.weight)
-            z1 = is_zero(c1.weight)
-            if z0:
-                if z1:
-                    return self._zero_edge
-                c0 = self._zero_edge
-            elif z1:
-                c1 = self._zero_edge
-            eta, normalized, keys = self.system.normalize_keyed((c0.weight, c1.weight))
-            w0, w1 = normalized
-            n0 = c0 if (z0 or w0 is c0.weight) else Edge(c0.node, w0)
-            n1 = c1 if (z1 or w1 is c1.weight) else Edge(c1.node, w1)
-            node = self._vector_table.get_or_create(level, (n0, n1), keys)
-            return Edge(node, eta)
-        if arity != MATRIX_ARITY:
-            raise DDError(f"unsupported node arity {arity}")
-        is_zero = self.system.is_zero
+            if is_zero(c0.weight):
+                if is_zero(c1.weight):
+                    return zero_edge
+                c0 = zero_edge
+            elif is_zero(c1.weight):
+                c1 = zero_edge
+            eta, (w0, w1), keys = system.normalize_keyed((c0.weight, c1.weight))
+            # Normalisation maps zero to zero, so a zero child keeps its
+            # edge; so does any child whose weight it left untouched.
+            # Normalised weights are canonical instances: a snapped zero
+            # is the zero edge's own weight object.
+            zero = zero_edge.weight
+            if w0 is not c0.weight:
+                c0 = zero_edge if w0 is zero else Edge(c0.node, w0)
+            if w1 is not c1.weight:
+                c1 = zero_edge if w1 is zero else Edge(c1.node, w1)
+            return Edge(self._vector_table.get_or_create(level, (c0, c1), keys), eta)
+        if len(children) != MATRIX_ARITY:
+            raise DDError(f"unsupported node arity {len(children)}")
         # Single pass: canonicalise zero edges (they always point at the
         # terminal) and collect the weight tuple for normalisation.
         canonical = []
@@ -286,31 +291,31 @@ class DDManager:
         any_nonzero = False
         for child in children:
             if is_zero(child.weight):
-                child = self.zero_edge()
+                child = zero_edge
             else:
                 any_nonzero = True
             canonical.append(child)
             weights.append(child.weight)
         if not any_nonzero:
-            return self.zero_edge()
-        eta, normalized, keys = self.system.normalize_keyed(tuple(weights))
+            return zero_edge
+        eta, normalized, keys = system.normalize_keyed(tuple(weights))
+        zero = zero_edge.weight
         new_children = []
         for child, weight in zip(canonical, normalized):
-            # normalisation maps zero to zero, so `child` is already the
-            # canonical zero edge exactly when `weight` is zero; reuse
-            # the child edge outright when its weight was untouched.
-            if weight is child.weight or is_zero(weight):
-                new_children.append(child)
-            else:
-                new_children.append(Edge(child.node, weight))
-        table = self._vector_table if arity == VECTOR_ARITY else self._matrix_table
-        node = table.get_or_create(level, tuple(new_children), keys)
-        return Edge(node, eta)
+            if weight is not child.weight:
+                child = zero_edge if weight is zero else Edge(child.node, weight)
+            new_children.append(child)
+        return Edge(self._matrix_table.get_or_create(level, tuple(new_children), keys), eta)
 
     def scale(self, edge: Edge, factor: Any) -> Edge:
         """Multiply a whole DD by a scalar weight."""
-        if self.system.is_zero(factor) or self.is_zero_edge(edge):
-            return self.zero_edge()
+        is_zero = self.system.is_zero
+        if (
+            is_zero(factor)
+            or edge is self._zero_edge
+            or (edge.node is TERMINAL and is_zero(edge.weight))
+        ):
+            return self._zero_edge
         return Edge(edge.node, self.system.mul(edge.weight, factor))
 
     # ------------------------------------------------------------------
@@ -393,27 +398,31 @@ class DDManager:
 
     def add(self, left: Edge, right: Edge) -> Edge:
         """Pointwise sum of two DDs of the same kind and size."""
-        if self.is_zero_edge(left):
+        system = self.system
+        zero_edge = self._zero_edge
+        left_node = left.node
+        right_node = right.node
+        if left is zero_edge or (left_node is TERMINAL and system.is_zero(left.weight)):
             return right
-        if self.is_zero_edge(right):
+        if right is zero_edge or (right_node is TERMINAL and system.is_zero(right.weight)):
             return left
-        if left.node.level != right.node.level:
+        if left_node.level != right_node.level:
             raise LevelMismatchError(
-                f"cannot add DDs at levels {left.node.level} and {right.node.level}"
+                f"cannot add DDs at levels {left_node.level} and {right_node.level}"
             )
-        if left.is_terminal and right.is_terminal:
-            return self.terminal_edge(self.system.add(left.weight, right.weight))
-        if left.node is right.node and not self.system.supports_arbitrary_complex:
+        if left_node is TERMINAL:  # equal levels: both are the terminal
+            return Edge(TERMINAL, system.add(left.weight, right.weight))
+        if left_node is right_node and not system.supports_arbitrary_complex:
             # Same (canonical) node, so the same function up to the edge
             # weights: w_l * f + w_r * f == (w_l + w_r) * f, an O(1)
             # combine instead of a subtree walk.  Exact systems only --
             # distributivity is not a bitwise identity for floats, and
             # the numeric system's results are pinned to the established
             # per-child operation order (see the instability tests).
-            total = self.system.add(left.weight, right.weight)
-            if self.system.is_zero(total):
-                return self.zero_edge()
-            return Edge(left.node, total)
+            total = system.add(left.weight, right.weight)
+            if system.is_zero(total):
+                return zero_edge
+            return Edge(left_node, total)
         # Canonicalise the argument order (addition is commutative).
         # Inexact systems order by weight *value* first: the order
         # decides the ratio-factoring division direction below, and a
@@ -421,50 +430,51 @@ class DDManager:
         # creation history (i.e. on whether the GC re-interned a node).
         # Exact systems keep the cheap uid comparison; weight keys only
         # break ties between equal nodes.
-        left_uid = left.node.uid
-        right_uid = right.node.uid
-        left_order = self.system.weight_order_key(left.weight)
+        left_uid = left_node.uid
+        right_uid = right_node.uid
+        left_order = system.weight_order_key(left.weight)
         if left_order is not None:
-            right_order = self.system.weight_order_key(right.weight)
-            if (right_order, right_uid) < (left_order, left_uid):
+            right_order = system.weight_order_key(right.weight)
+            if right_order < left_order or (right_order == left_order and right_uid < left_uid):
                 left, right = right, left
-                left_uid, right_uid = right_uid, left_uid
+                left_node, right_node = right_node, left_node
         elif right_uid < left_uid or (
-            right_uid == left_uid
-            and self.system.key(right.weight) < self.system.key(left.weight)
+            right_uid == left_uid and system.key(right.weight) < system.key(left.weight)
         ):
             left, right = right, left
-            left_uid, right_uid = right_uid, left_uid
+            left_node, right_node = right_node, left_node
         # Factor out the left weight when the system supports division,
         # so cache entries are shared across common scalings.
-        ratio = self.system.division_helper(right.weight, left.weight)
+        ratio = system.division_helper(right.weight, left.weight)
+        add_cache = self._add_cache
         if ratio is not None:
-            cache_key = (left.node.uid, right.node.uid, self.system.key(ratio))
-            cached = self._add_cache.get(cache_key)
+            cache_key = (left_node.uid, right_node.uid, system.key(ratio))
+            cached = add_cache.get(cache_key)
             if cached is None:
-                cached = self._add_children(
-                    Edge(left.node, self.system.one), Edge(right.node, ratio)
-                )
-                self._add_cache.put(cache_key, cached)
+                cached = self._add_children(Edge(left_node, system.one), Edge(right_node, ratio))
+                add_cache.put(cache_key, cached)
             return self.scale(cached, left.weight)
         cache_key = (
-            left.node.uid,
-            self.system.key(left.weight),
-            right.node.uid,
-            self.system.key(right.weight),
+            left_node.uid,
+            system.key(left.weight),
+            right_node.uid,
+            system.key(right.weight),
         )
-        cached = self._add_cache.get(cache_key)
+        cached = add_cache.get(cache_key)
         if cached is None:
             cached = self._add_children(left, right)
-            self._add_cache.put(cache_key, cached)
+            add_cache.put(cache_key, cached)
         return cached
 
     def _add_children(self, left: Edge, right: Edge) -> Edge:
-        children = []
-        for left_child, right_child in zip(left.node.edges, right.node.edges):
-            scaled_left = self.scale(left_child, left.weight)
-            scaled_right = self.scale(right_child, right.weight)
-            children.append(self.add(scaled_left, scaled_right))
+        add = self.add
+        scale = self.scale
+        left_weight = left.weight
+        right_weight = right.weight
+        children = [
+            add(scale(left_child, left_weight), scale(right_child, right_weight))
+            for left_child, right_child in zip(left.node.edges, right.node.edges)
+        ]
         return self.make_node(left.node.level, children)
 
     # ------------------------------------------------------------------
@@ -705,7 +715,17 @@ class DDManager:
 
     def node_count(self, edge: Edge) -> int:
         """Number of distinct non-terminal nodes (the paper's size metric)."""
-        return sum(1 for _ in iter_nodes(edge))
+        # Seeding the terminal keeps it out of the walk and the count.
+        root = edge.node
+        seen = {TERMINAL, root}
+        stack = [root]
+        while stack:
+            for child in stack.pop().edges:
+                node = child.node
+                if node not in seen:
+                    seen.add(node)
+                    stack.append(node)
+        return len(seen) - 1
 
     def max_bit_width(self, edge: Edge) -> int:
         """Largest integer bit-width over all edge weights (0 for numeric).

@@ -33,8 +33,9 @@ Three families are provided:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from contextlib import contextmanager, nullcontext
 from math import gcd as _int_gcd
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, ContextManager, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.dd.unique_table import ComputeTable
 from repro.errors import DDError, InexactDivisionError
@@ -281,6 +282,15 @@ class NumberSystem(ABC):
 
     # -- sanitizer hooks ---------------------------------------------------------
 
+    def uncounted(self) -> ContextManager[None]:
+        """A scope whose weight-table probes stay out of :meth:`metric_values`.
+
+        The sanitizer re-normalises nodes and replays compute-table
+        entries inside this scope, so checking a run does not change the
+        counters the run reports.  Default: the system counts nothing.
+        """
+        return nullcontext()
+
     def check_canonical(self, value: Any) -> Optional[str]:
         """Why ``value`` is *not* a canonical weight, or ``None`` if it is.
 
@@ -429,13 +439,14 @@ class NumericSystem(NumberSystem):
         return self.table.lookup(left.value + right.value)
 
     def mul(self, left: ComplexEntry, right: ComplexEntry) -> ComplexEntry:
-        if left is self.table.zero or right is self.table.zero:
-            return self.table.zero
-        if left is self.table.one:
+        table = self.table
+        if left is table.zero or right is table.zero:
+            return table.zero
+        if left is table.one:
             return right
-        if right is self.table.one:
+        if right is table.one:
             return left
-        return self.table.lookup(left.value * right.value)
+        return table.lookup(left.value * right.value)
 
     def neg(self, value: ComplexEntry) -> ComplexEntry:
         return self.table.lookup(-value.value)
@@ -468,17 +479,39 @@ class NumericSystem(NumberSystem):
     # -- normalisation ---------------------------------------------------------------
 
     def normalize(self, weights: Tuple[ComplexEntry, ...]) -> Tuple[ComplexEntry, Tuple[ComplexEntry, ...]]:
+        eta, normalized, _keys = self.normalize_keyed(weights)
+        return eta, normalized
+
+    def normalize_keyed(
+        self, weights: Tuple[ComplexEntry, ...]
+    ) -> Tuple[ComplexEntry, Tuple[ComplexEntry, ...], Tuple[int, ...]]:
+        table = self.table
+        zero = table.zero
+        one = table.one
+        if len(weights) == 2 and self.normalization == "leftmost":
+            # Vector hot path, unrolled: the same lookups in the same
+            # order as the general loop below.
+            w0, w1 = weights
+            if w0 is not zero:
+                if w1 is zero:
+                    return w0, (one, zero), (one.index, zero.index)
+                n1 = table.lookup(w1.value / w0.value)
+                return w0, (one, n1), (one.index, n1.index)
+            if w1 is zero:
+                raise DDError("normalize called on all-zero weights")
+            return w1, (zero, one), (zero.index, one.index)
         pivot_index = self._pivot(weights)
         eta = weights[pivot_index]
+        lookup = table.lookup
         normalized = []
         for index, weight in enumerate(weights):
-            if weight is self.table.zero:
-                normalized.append(self.table.zero)
+            if weight is zero:
+                normalized.append(zero)
             elif index == pivot_index:
-                normalized.append(self.table.one)
+                normalized.append(one)
             else:
-                normalized.append(self.table.lookup(weight.value / eta.value))
-        return (eta, tuple(normalized))
+                normalized.append(lookup(weight.value / eta.value))
+        return eta, tuple(normalized), tuple([weight.index for weight in normalized])
 
     def _pivot(self, weights: Sequence[ComplexEntry]) -> int:
         if self.normalization == "leftmost":
@@ -521,13 +554,26 @@ class NumericSystem(NumberSystem):
                 "complex table (shadow ComplexEntry instance)"
             )
         # eps-snap residue: a stored value must identify with itself --
-        # looking it up again may never create or pick another entry.
-        if self.table.lookup(value.value) is not value:
+        # looking it up again may never create or pick another entry --
+        # and both probe paths (exact dict, bucket) must still hold it.
+        # ``find`` and ``holds`` count nothing and store nothing.
+        if self.table.find(value.value) is not value or not self.table.holds(value):
             return (
                 f"stored value {value.value!r} no longer snaps onto its own "
                 f"entry within eps={self.eps:g}"
             )
         return None
+
+    @contextmanager
+    def uncounted(self) -> Iterator[None]:
+        # Entries a replay inserts stay in the table (nodes and caches
+        # may already refer to them); only the counters are restored.
+        table = self.table
+        lookups, inserts = table.lookups, table.inserts
+        try:
+            yield
+        finally:
+            table.lookups, table.inserts = lookups, inserts
 
     def value_for_key(self, key: int) -> ComplexEntry:
         entry = self.table.entry(key)

@@ -204,15 +204,16 @@ class Sanitizer:
         report is returned for inspection.
         """
         tracer = self.manager.telemetry.tracer
-        with tracer.span("dd.sanitize.walk"):
-            report = self._walk(state)
-        with tracer.span("dd.sanitize.memo_replay"):
-            report.merge(self._check_memo_tables())
-        if not state.is_terminal and state.node.level == self.manager.num_qubits:
-            with tracer.span("dd.sanitize.amplitudes"):
-                report.merge(self._check_amplitudes(state))
-        with tracer.span("dd.sanitize.refcounts"):
-            report.merge(self._check_refcounts())
+        with self.manager.system.uncounted():
+            with tracer.span("dd.sanitize.walk"):
+                report = self._walk(state)
+            with tracer.span("dd.sanitize.memo_replay"):
+                report.merge(self._check_memo_tables())
+            if not state.is_terminal and state.node.level == self.manager.num_qubits:
+                with tracer.span("dd.sanitize.amplitudes"):
+                    report.merge(self._check_amplitudes(state))
+            with tracer.span("dd.sanitize.refcounts"):
+                report.merge(self._check_refcounts())
         self.total.merge(report)
         if raise_on_violation and not report.ok:
             raise report.violations[0].to_error()
@@ -220,7 +221,9 @@ class Sanitizer:
 
     def check_dd(self, edge: Edge, raise_on_violation: bool = True) -> SanitizerReport:
         """Structural-only check of any DD (vector or matrix)."""
-        with self.manager.telemetry.tracer.span("dd.sanitize.walk"):
+        with self.manager.system.uncounted(), self.manager.telemetry.tracer.span(
+            "dd.sanitize.walk"
+        ):
             report = self._walk(edge)
         self.total.merge(report)
         if raise_on_violation and not report.ok:

@@ -16,13 +16,15 @@ Weight payloads depend on the number system:
   tolerance-table identity structure is rebuilt on load).
 
 :func:`loads` is a public boundary: every exact weight payload must be
-a list of the right length holding JSON integers (``true``/``false``
-are rejected, so equal values cannot load into different payload
-bytes), and any malformed payload raises :class:`~repro.errors.DDError`.
+a list of the right length holding JSON integers, every numeric one a
+list of two finite JSON numbers (``true``/``false`` are rejected in
+both, so equal values cannot load into different payload bytes), and
+any malformed payload raises :class:`~repro.errors.DDError`.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 from typing import Any, Dict, List
 
@@ -67,6 +69,22 @@ def _exact_payload(payload: object, length: int) -> List[int]:
     return payload
 
 
+def _numeric_payload(payload: object) -> complex:
+    """Validate a numeric weight payload: ``[re, im]``, two finite JSON numbers."""
+    if not isinstance(payload, list) or len(payload) != 2:
+        raise DDError(f"numeric weight payload must be a list [re, im], got {payload!r}")
+    for part in payload:
+        if type(part) is not float and type(part) is not int:
+            raise DDError(f"numeric weight payload {payload!r} holds a non-number {part!r}")
+    try:
+        value = complex(payload[0], payload[1])
+    except OverflowError:  # an integer beyond the double range
+        value = complex(cmath.inf)
+    if not cmath.isfinite(value):
+        raise DDError(f"numeric weight payload {payload!r} is not finite")
+    return value
+
+
 def _weight_from_payload(manager: DDManager, payload: List) -> Any:
     system = manager.system
     try:
@@ -79,7 +97,7 @@ def _weight_from_payload(manager: DDManager, payload: List) -> Any:
     except RingError as error:  # e.g. a zero Q[omega] denominator
         raise DDError(f"invalid exact weight payload {payload!r}: {error}") from error
     if isinstance(system, NumericSystem):
-        return system.from_complex(complex(payload[0], payload[1]))
+        return system.from_complex(_numeric_payload(payload))
     raise DDError(f"cannot deserialise weights of system {system.name!r}")
 
 

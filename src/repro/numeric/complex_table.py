@@ -20,18 +20,45 @@ Key behavioural details reproduced here:
   small genuine amplitudes are *snapped* onto the 0 entry -- the
   information-loss mechanism that produces the all-zero state vector of
   Example 5 / Fig. 2.
-* Lookup is O(1) via bucket hashing on ``round(value / grid)`` with the
-  eight neighbouring buckets probed, where ``grid`` is derived from
-  ``eps`` (for ``eps = 0`` a plain exact dictionary is used).
+* Lookup is O(1).  An exact dictionary of stored values answers first
+  (for every ``eps``; at ``eps = 0`` it is the whole table).  Otherwise
+  the tolerance search hashes ``round(value / grid)`` on a ``grid =
+  2 eps`` lattice and scans only the 2 or 3 buckets per axis that can
+  hold a match; values of magnitude at least ``eps * 2**54`` on both
+  axes can only match bit-equal entries and skip the search.  The
+  result is the entry the full nine-bucket scan would return (see
+  :meth:`ComplexTable._search` and ``docs/ALGORITHMS.md``).
+* Non-finite values are refused with :class:`~repro.errors.DDError`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+import struct
+from cmath import isfinite
+from math import inf
+from typing import Dict, List, Optional, Tuple
+
+from repro.errors import DDError
 
 __all__ = ["ComplexTable", "ComplexEntry"]
 
-import struct
+#: Probes with both components at least ``eps * 2**54`` are exact-only.
+_EXACT_ONLY_SCALE = 2.0**54
+#: Per-unit slack of the rounded bucket quotient (see ComplexTable._search).
+_TIE_MARGIN = 2.0**-51
+
+
+def _axis_buckets(q: float) -> Tuple[int, Tuple[int, ...]]:
+    """The bucket ``round(q)`` of one axis and, ascending, the buckets of
+    that axis that can hold a match (see :meth:`ComplexTable._search`)."""
+    k = round(q)
+    f = q - k
+    margin = (abs(q) + 1.0) * _TIE_MARGIN
+    if f > margin:
+        return k, (k, k + 1)
+    if f < -margin:
+        return k, (k - 1, k)
+    return k, (k - 1, k, k + 1)
 
 
 def _round_to_single(value: complex) -> complex:
@@ -85,15 +112,22 @@ class ComplexTable:
         #: knob lets the evaluation demonstrate it in the cheap
         #: direction).
         self.precision = precision
+        self._single = precision == "single"
         # Tombstoned (None) slots are left behind by sweep_entries;
         # indices are append-only and never reused.
         self._entries: list[Optional[ComplexEntry]] = []
-        self._exact: Dict[Tuple[float, float], ComplexEntry] = {}
+        # Every live entry under its value.  ``complex`` keys compare
+        # -0.0 equal to 0.0, so a signed-zero probe finds its entry.
+        self._exact: Dict[complex, ComplexEntry] = {}
         # Bucket grid for tolerance search: one bucket per 2*eps square so
         # a candidate within eps is always in the same or a neighbouring
         # bucket of its anchor.
-        self._grid = 2.0 * self.eps if self.eps > 0 else 0.0
-        self._buckets: Dict[Tuple[int, int], list[ComplexEntry]] = {}
+        self._grid = 2.0 * self.eps
+        # Probes at or beyond this magnitude on both axes can only match
+        # bit-equal values (see _bucketed); 0 at eps=0, where every probe
+        # is exact.  Infinite for huge eps, where no finite probe is.
+        self._exact_bound = self.eps * _EXACT_ONLY_SCALE
+        self._buckets: Dict[Tuple[int, int], List[ComplexEntry]] = {}
         # Observability counters (see repro.obs): ``lookups`` is bumped
         # once per probe -- the single hot-path increment -- while
         # ``inserts`` is bumped on the (cold) insert path, so hits and
@@ -123,23 +157,64 @@ class ComplexTable:
             return self._entries[index]
         return None
 
-    def _bucket_key(self, value: complex) -> Tuple[int, int]:
-        return (int(round(value.real / self._grid)), int(round(value.imag / self._grid)))
+    def _bucketed(self, value: complex) -> bool:
+        """Whether ``value`` needs the tolerance search.
 
-    def _find_within_eps(self, value: complex) -> Optional[ComplexEntry]:
-        key = self._bucket_key(value)
+        A probe is *exact-only* when ``|re|`` and ``|im|`` are both at
+        least ``eps * 2**54`` (always at ``eps = 0``): every other double
+        then lies more than ``eps`` away on each axis, so only a
+        bit-equal entry can match and the exact dict answers alone.
+        Exact-only entries are never bucketed.
+        """
+        bound = self._exact_bound
+        return abs(value.real) < bound or abs(value.imag) < bound
+
+    def _search(self, value: complex) -> Tuple[Optional[ComplexEntry], Tuple[int, int]]:
+        """Tolerance search of a bucketed probe: ``(nearest entry or
+        None, the probe's bucket key)``.
+
+        Only the buckets that can hold a match are scanned.
+        Per axis let ``q = fl(v / grid)``, ``k = round(q)`` and
+        ``f = q - k`` (exact: Sterbenz).  A match ``s`` has
+        ``fl(|s - v|) <= eps``, so ``|s - v| <= eps (1 + u)`` with
+        ``u = 2**-53``, and the two rounded quotients differ by at most
+        ``1/2 + u (2|q| + 1)`` plus subnormal noise -- strictly less
+        than ``1/2 + r`` with the margin ``r = (|q| + 1) 2**-51``.
+        Hence ``f > r`` puts every match in buckets ``k, k+1`` and
+        ``f < -r`` in ``k-1, k``; only within ``r`` of ``f = 0`` (where
+        ``q +- 1/2`` sits on a rounding tie) all three are scanned.
+        Buckets are visited in ascending ``(x, y)`` order, entries in
+        insertion order, so equal distances keep the first-found entry.
+        """
+        re = value.real
+        im = value.imag
+        try:
+            kx, xs = _axis_buckets(re / self._grid)
+            ky, ys = _axis_buckets(im / self._grid)
+        except (ValueError, OverflowError):  # round() of a NaN or an inf
+            raise DDError(
+                f"cannot intern {value!r}: not finite, or beyond the "
+                f"tolerance grid of eps={self.eps:g}"
+            ) from None
+        eps = self.eps
+        get = self._buckets.get
         best: Optional[ComplexEntry] = None
-        best_distance = float("inf")
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for entry in self._buckets.get((key[0] + dx, key[1] + dy), ()):
-                    dre = abs(entry.value.real - value.real)
-                    dim = abs(entry.value.imag - value.imag)
-                    if dre <= self.eps and dim <= self.eps:
-                        distance = dre + dim
-                        if distance < best_distance:
-                            best, best_distance = entry, distance
-        return best
+        best_distance = inf
+        for x in xs:
+            for y in ys:
+                bucket = get((x, y))
+                if bucket is None:
+                    continue
+                for entry in bucket:
+                    stored = entry.value
+                    dre = abs(stored.real - re)
+                    if dre <= eps:
+                        dim = abs(stored.imag - im)
+                        if dim <= eps:
+                            distance = dre + dim
+                            if distance < best_distance:
+                                best, best_distance = entry, distance
+        return best, (kx, ky)
 
     def lookup(self, value: complex) -> ComplexEntry:
         """Intern ``value``: return the entry it is identified with.
@@ -147,29 +222,69 @@ class ComplexTable:
         With ``eps > 0`` the *stored* value of an existing nearby entry
         is returned (the incoming value is discarded -- this is the
         lossy identification step).  Otherwise a new entry is created.
+
+        A stored value bit-equal to the probe answers first: stored
+        values are pairwise more than ``eps`` apart, so it is the unique
+        distance-0 minimum the tolerance search would return.
         """
         self.lookups += 1
         value = complex(value)
-        if self.precision == "single":
+        if self._single:
             value = _round_to_single(value)
-        if self.eps == 0.0:  # repro-lint: allow[RL003] (eps=0 is an exact sentinel)
-            key = (value.real + 0.0, value.imag + 0.0)  # normalise -0.0
-            entry = self._exact.get(key)
-            if entry is None:
-                entry = self._insert(complex(*key))
-                self._exact[key] = entry
+        entry = self._exact.get(value)
+        if entry is not None:
             return entry
-        found = self._find_within_eps(value)
-        if found is not None:
-            return found
-        return self._insert(value)
+        try:
+            bound = self._exact_bound  # _bucketed, inlined
+            if abs(value.real) < bound or abs(value.imag) < bound:
+                entry, key = self._search(value)
+                if entry is not None:
+                    return entry
+                return self._insert(value, key)
+            return self._insert(value, None)
+        except DDError:
+            self.lookups -= 1  # a refused value is not an identification
+            raise
 
-    def _insert(self, value: complex) -> ComplexEntry:
+    def find(self, value: complex) -> Optional[ComplexEntry]:
+        """The entry :meth:`lookup` would return, or ``None`` where it
+        would insert.  Side-effect free: counts nothing, stores nothing."""
+        value = complex(value)
+        if self._single:
+            value = _round_to_single(value)
+        entry = self._exact.get(value)
+        if entry is None and self._bucketed(value):
+            entry = self._search(value)[0]
+        return entry
+
+    def holds(self, entry: ComplexEntry) -> bool:
+        """Whether both probe paths still reach ``entry``: its exact-dict
+        slot and, unless it is exact-only, its bucket."""
+        value = entry.value
+        if self._exact.get(value) is not entry:
+            return False
+        if not self._bucketed(value):
+            return True
+        key = self._search(value)[1]
+        return any(other is entry for other in self._buckets.get(key, ()))
+
+    def _insert(self, value: complex, key: Optional[Tuple[int, int]]) -> ComplexEntry:
+        # A bucketed probe passed round() on both axes, so only the
+        # exact-only path can still carry an inf or a NaN.
+        if key is None and not isfinite(value):
+            raise DDError(f"cannot intern non-finite value {value!r}")
+        if not self._grid:
+            value += 0j  # eps=0 stores -0.0 as 0.0 (-0.0 + 0.0 == +0.0)
         self.inserts += 1
         entry = ComplexEntry(value, len(self._entries))
         self._entries.append(entry)
-        if self.eps > 0.0:
-            self._buckets.setdefault(self._bucket_key(value), []).append(entry)
+        self._exact[value] = entry
+        if key is not None:
+            bucket = self._buckets.get(key)
+            if bucket is None:
+                self._buckets[key] = [entry]
+            else:
+                bucket.append(entry)
         return entry
 
     def sweep_entries(self, live_indices: "set[int]") -> int:
@@ -196,9 +311,8 @@ class ComplexTable:
                 continue
             if entry is self.zero or entry is self.one:
                 continue
-            key = (entry.value.real + 0.0, entry.value.imag + 0.0)
-            if exact.get(key) is entry:
-                del exact[key]
+            if exact.get(entry.value) is entry:
+                del exact[entry.value]
             entries[index] = None
             swept += 1
         self.swept += swept

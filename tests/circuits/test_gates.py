@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from repro.circuits.circuit import Circuit
 from repro.circuits.gates import (
+    GateDef,
     H,
     S,
     SDG,
@@ -24,6 +26,7 @@ from repro.circuits.gates import (
     rz_gate,
     u_gate,
 )
+from repro.errors import CircuitError
 
 EXACT_GATES = [H, X, Y, Z, S, SDG, T, TDG, SQRT_X, identity_gate()]
 
@@ -135,3 +138,29 @@ class TestRegistry:
 
     def test_registry_gates_exact(self):
         assert all(g.is_exactly_representable for g in STANDARD_GATES.values())
+
+
+class TestNonFiniteRejected:
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("builder", [phase_gate, rx_gate, ry_gate, rz_gate])
+    def test_rotation_builders(self, builder, angle):
+        with pytest.raises(CircuitError):
+            builder(angle)
+
+    @pytest.mark.parametrize("angles", [(math.nan, 0.0, 0.0), (0.0, math.inf, 0.0), (0.0, 0.0, math.nan)])
+    def test_u_gate(self, angles):
+        with pytest.raises(CircuitError):
+            u_gate(*angles)
+
+    def test_circuit_rz(self):
+        with pytest.raises(CircuitError):
+            Circuit(1).rz(math.nan, 0)
+
+    @pytest.mark.parametrize("entry", [complex(math.nan, 0.0), complex(0.0, math.inf), math.nan])
+    def test_gate_def_matrix(self, entry):
+        with pytest.raises(CircuitError):
+            GateDef(name="g", matrix=(1, 0, 0, entry))
+
+    def test_gate_def_params(self):
+        with pytest.raises(CircuitError):
+            GateDef(name="g", matrix=(1, 0, 0, 1), params=(math.inf,))

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dd.edge import Edge
 from repro.dd.manager import algebraic_manager, numeric_manager
 from repro.errors import LevelMismatchError
 from repro.rings.domega import DOmega
@@ -295,6 +296,44 @@ class TestNormSquared:
     def test_norm_of_zero(self, manager_factory):
         manager = manager_factory(2)
         assert manager.system.is_zero(manager.norm_squared(manager.zero_edge()))
+
+
+class TestSnappedZeroWeights:
+    """A nonzero child weight that normalisation snaps onto the zero
+    entry (eps > 0) becomes the canonical terminal zero edge."""
+
+    def setup_method(self):
+        self.manager = numeric_manager(2, eps=1e-3)
+        system = self.manager.system
+        self.big = system.from_complex(1000.0)
+        # 0.5 / 1000 lies within eps of zero, 0.5 itself does not.
+        self.small = system.from_complex(0.5)
+        assert not system.is_zero(self.small)
+
+    def test_vector_child(self):
+        manager = self.manager
+        child = manager.make_node(1, [manager.one_edge(), manager.zero_edge()])
+        other = manager.make_node(1, [manager.zero_edge(), manager.one_edge()])
+        edge = manager.make_node(2, [Edge(child.node, self.big), Edge(other.node, self.small)])
+        assert edge.node.edges[1] is manager.zero_edge()
+        assert manager.sanitize(edge, raise_on_violation=False).ok
+
+    def test_matrix_child(self):
+        manager = self.manager
+        block = manager.make_node(
+            1, [manager.one_edge(), manager.zero_edge(), manager.zero_edge(), manager.one_edge()]
+        )
+        edge = manager.make_node(
+            2,
+            [
+                Edge(block.node, self.big),
+                Edge(block.node, self.small),
+                manager.zero_edge(),
+                Edge(block.node, self.big),
+            ],
+        )
+        assert edge.node.edges[1] is manager.zero_edge()
+        assert manager.sanitize(edge, raise_on_violation=False).ok
 
 
 class TestHousekeeping:

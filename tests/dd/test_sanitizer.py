@@ -19,10 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms.grover import grover_circuit
-from repro.api import SimulatorConfig
+from repro.api import RunRequest, SimulatorConfig, run
 from repro.circuits import gates
 from repro.circuits.circuit import Circuit
-from repro.dd.edge import Edge, Node, TERMINAL
+from repro.dd.edge import Edge, Node, TERMINAL, iter_nodes
+from repro.dd.manager import numeric_manager
 from repro.dd.sanitizer import Sanitizer, SanitizerMode, sanitize_dd
 from repro.errors import SanitizerError
 from repro.sim.simulator import Simulator
@@ -112,6 +113,52 @@ class TestSanitizerModes:
         simulator.run(circuit)
         total = simulator.sanitizer.total
         assert total.ok and total.nodes_checked > 0 and total.amplitudes_checked > 0
+
+
+class TestNumericTable:
+    @pytest.mark.parametrize("eps", [1e-3, 1e-20])
+    def test_snapped_weights_stay_canonical_every_op(self, eps):
+        # Weights that normalisation snaps onto zero used to leave a
+        # zero-weight edge on a live node ([zero-edge-form]).
+        circuit = grover_circuit(5, 21)
+        config = SimulatorConfig(system="numeric", eps=eps, sanitize="check-every-op")
+        run(RunRequest(circuit, config))  # raises SanitizerError on any finding
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-10])
+    def test_sanitizer_leaves_numeric_counters_unchanged(self, eps):
+        circuit = grover_circuit(5, 21)
+        counters = []
+        for mode in ("off", "check-on-root"):
+            config = SimulatorConfig(system="numeric", eps=eps, sanitize=mode)
+            metrics = run(RunRequest(circuit, config)).metrics
+            counters.append({k: v for k, v in metrics.items() if k.startswith("numeric.eps.")})
+        assert counters[0] == counters[1] and len(counters[0]) == 3
+
+    def _bucketed_weight(self, manager, state):
+        table = manager.system.table
+        for node in iter_nodes(state):
+            for child in node.edges:
+                entry = child.weight
+                if entry is not table.zero and entry is not table.one:
+                    return table, entry
+        raise AssertionError("state has no weight besides 0 and 1")
+
+    @pytest.mark.parametrize("structure", ["exact", "bucket"])
+    def test_lost_table_slot_is_caught(self, structure):
+        manager = numeric_manager(3, eps=1e-10)
+        state = Simulator(manager).run(grover_circuit(3, 5)).state
+        table, entry = self._bucketed_weight(manager, state)
+        assert table.holds(entry)
+        if structure == "exact":
+            del table._exact[entry.value]
+        else:
+            for bucket in table._buckets.values():
+                if entry in bucket:
+                    bucket.remove(entry)
+        assert not table.holds(entry)
+        with pytest.raises(SanitizerError) as excinfo:
+            manager.sanitize(state)
+        assert excinfo.value.code == "weight-form"
 
 
 class TestCorruptedDDs:

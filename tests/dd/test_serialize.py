@@ -137,6 +137,40 @@ class TestValidation:
         with pytest.raises(DDError):
             loads(manager, json.dumps(document))
 
+    @pytest.mark.parametrize("eps", [0.0, 1e-10])
+    @pytest.mark.parametrize(
+        "weight",
+        [
+            ["a", 1],
+            [1.0],
+            [1.0, 0.0, 0.0],
+            "x",
+            1.0,
+            None,
+            [True, False],
+            [1.0, True],
+            [None, 0.0],
+            [[1.0], 0.0],
+            [float("nan"), 0.0],
+            [0.0, float("inf")],
+            [10**400, 0],
+        ],
+    )
+    def test_malformed_numeric_weight_raises_dd_error(self, eps, weight):
+        manager = numeric_manager(1, eps=eps)
+        document = json.loads(dumps(manager, manager.basis_state(0)))
+        document["nodes"][0]["children"][0]["weight"] = weight
+        with pytest.raises(DDError):
+            loads(manager, json.dumps(document))
+
+    @pytest.mark.parametrize("weight", [[1, 0], [1.0, 0.0], [0.5, -0.25]])
+    def test_numeric_weight_accepts_json_numbers(self, weight):
+        manager = numeric_manager(1)
+        document = json.loads(dumps(manager, manager.basis_state(0)))
+        document["root"]["weight"] = weight
+        restored = loads(manager, json.dumps(document))
+        assert manager.system.to_complex(restored.weight) == complex(*weight)
+
     def test_huge_coefficients_survive(self):
         """GSE-scale bit-widths (hundreds of bits) serialise exactly --
         JSON integers are arbitrary precision in Python."""

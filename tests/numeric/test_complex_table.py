@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.errors import DDError
 from repro.numeric import ComplexTable
 
 finite = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
@@ -115,3 +116,61 @@ class TestGrowthBehaviour:
             tolerant.lookup(complex(noisy, 0.0))
         assert len(exact) > 50
         assert len(tolerant) == 3  # zero, one, ~1/sqrt2
+
+
+class TestNonFiniteValues:
+    @pytest.mark.parametrize("eps", [0.0, 1e-20, 1e-10, 1e-3])
+    @pytest.mark.parametrize(
+        "value",
+        [
+            complex(math.nan, 0.0),
+            complex(math.inf, 0.0),
+            complex(0.5, math.nan),
+            complex(-math.inf, math.inf),
+            math.nan,
+        ],
+    )
+    def test_insert_raises_dd_error(self, eps, value):
+        table = ComplexTable(eps=eps)
+        size = len(table)
+        for _ in range(2):  # NaN once inserted a fresh entry per probe
+            with pytest.raises(DDError):
+                table.lookup(value)
+        assert len(table) == size and table.inserts == size
+        assert table.identifications == 0  # the zero and one probes
+
+
+class TestSideEffectFreeProbes:
+    @pytest.mark.parametrize("eps", [0.0, 1e-10])
+    def test_find_neither_counts_nor_inserts(self, eps):
+        table = ComplexTable(eps=eps)
+        entry = table.lookup(0.25 + 0.5j)
+        before = (table.lookups, table.inserts, len(table))
+        assert table.find(0.25 + 0.5j) is entry
+        assert table.find(0.75 - 0.5j) is None
+        assert (table.lookups, table.inserts, len(table)) == before
+
+    def test_find_identifies_within_eps(self):
+        table = ComplexTable(eps=1e-5)
+        entry = table.lookup(0.25 + 0.5j)
+        assert table.find(0.25 + 4e-6 + 0.5j) is entry
+
+    def test_exact_only_entries_skip_the_buckets(self):
+        # At eps=1e-20 no other double lies within eps of 0.7 (it is
+        # above eps * 2**54), so the entry needs no bucket.
+        table = ComplexTable(eps=1e-20)
+        buckets = table.statistics()["buckets"]
+        entry = table.lookup(0.7 + 0.7j)
+        assert table.statistics()["buckets"] == buckets
+        assert table.holds(entry) and table.lookup(0.7 + 0.7j) is entry
+        assert table.lookup(complex(0.7, 1e-30)) is not entry  # bucketed: im is tiny
+
+    def test_holds_sees_a_lost_bucket_slot(self):
+        table = ComplexTable(eps=1e-10)
+        entry = table.lookup(0.25 + 0.5j)
+        assert table.holds(entry)
+        for bucket in table._buckets.values():
+            if entry in bucket:
+                bucket.remove(entry)
+        assert table.find(0.25 + 0.5j) is entry  # the exact dict still answers
+        assert not table.holds(entry)
